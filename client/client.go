@@ -10,6 +10,7 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -21,9 +22,6 @@ import (
 
 // KV is one key-value pair, aliased from the wire layer.
 type KV = wire.KV
-
-// VKV is one key / byte-string value pair, aliased from the wire layer.
-type VKV = wire.VKV
 
 // Errors surfaced by the client. Server-reported failures are *RemoteError.
 var (
@@ -63,7 +61,7 @@ type Options struct {
 	// only the caller can decide whether reissuing is safe. 0 disables.
 	CallTimeout time.Duration
 	// RetryReads opts a Pool into transparently retrying idempotent
-	// operations (Get, GetBytes, GetKV, Scan, ScanBytes, ScanKV, Stats)
+	// operations (Get, GetKV, Scan, ScanKV, Stats)
 	// whose failure is Retryable, with exponential backoff across
 	// (possibly redialed) connections. Writes are never auto-retried: a retried Put whose
 	// first attempt was applied but unacknowledged would double-apply.
@@ -372,11 +370,7 @@ func (c *Conn) GetAsync(key uint64) *Call {
 
 // Get returns the value stored under key on the server.
 func (c *Conn) Get(key uint64) (uint64, bool, error) {
-	call := c.GetAsync(key)
-	if err := call.Wait(); err != nil {
-		return 0, false, err
-	}
-	return call.Resp.Val, call.Resp.Status == wire.StatusOK, nil
+	return c.GetContext(context.Background(), key)
 }
 
 // PutAsync issues a pipelined Put.
@@ -387,7 +381,7 @@ func (c *Conn) PutAsync(key, val uint64) *Call {
 // Put stores val under key on the server. When Put returns nil the write is
 // durable on the server (the store's per-operation persistence contract).
 func (c *Conn) Put(key, val uint64) error {
-	return c.PutAsync(key, val).Wait()
+	return c.PutContext(context.Background(), key, val)
 }
 
 // DeleteAsync issues a pipelined Delete.
@@ -397,11 +391,7 @@ func (c *Conn) DeleteAsync(key uint64) *Call {
 
 // Delete removes key on the server, reporting whether it was present.
 func (c *Conn) Delete(key uint64) (bool, error) {
-	call := c.DeleteAsync(key)
-	if err := call.Wait(); err != nil {
-		return false, err
-	}
-	return call.Resp.Status == wire.StatusOK, nil
+	return c.DeleteContext(context.Background(), key)
 }
 
 // PutBatchAsync issues one pipelined PutBatch frame. len(pairs) must not
@@ -444,63 +434,7 @@ func (c *Conn) ScanAsync(lo, hi uint64, max int) *Call {
 // to max (or the server's cap when max is 0). A full result set exactly at
 // the cap may be a truncation; page with lo = lastKey+1 to continue.
 func (c *Conn) Scan(lo, hi uint64, max int) ([]KV, error) {
-	call := c.ScanAsync(lo, hi, max)
-	if err := call.Wait(); err != nil {
-		return nil, err
-	}
-	return call.Resp.Pairs, nil
-}
-
-// GetBytesAsync issues a pipelined GetV (varlen Get).
-func (c *Conn) GetBytesAsync(key uint64) *Call {
-	return c.start(wire.Request{Op: wire.OpGetV, Key: key})
-}
-
-// GetBytes returns the byte-string value stored under key on the server.
-// The returned slice is owned by the caller. Reading a key written through
-// the fixed-width Put API fails with a *RemoteError.
-func (c *Conn) GetBytes(key uint64) ([]byte, bool, error) {
-	call := c.GetBytesAsync(key)
-	if err := call.Wait(); err != nil {
-		return nil, false, err
-	}
-	return call.Resp.VVal, call.Resp.Status == wire.StatusOK, nil
-}
-
-// PutBytesAsync issues a pipelined PutV (varlen Put). val must not exceed
-// wire.MaxValue; it is captured by reference, so the caller must not
-// mutate it until the call completes.
-func (c *Conn) PutBytesAsync(key uint64, val []byte) *Call {
-	return c.start(wire.Request{Op: wire.OpPutV, Key: key, VVal: val})
-}
-
-// PutBytes stores val as a byte-string value under key on the server. When
-// it returns nil the value is durable in the store's persistence model.
-func (c *Conn) PutBytes(key uint64, val []byte) error {
-	return c.PutBytesAsync(key, val).Wait()
-}
-
-// ScanBytesAsync issues a pipelined ScanV for lo <= key <= hi, returning
-// at most max pairs (0 = the server's cap).
-func (c *Conn) ScanBytesAsync(lo, hi uint64, max int) *Call {
-	m := uint32(0)
-	if max > 0 && max <= wire.MaxPairs {
-		m = uint32(max)
-	}
-	return c.start(wire.Request{Op: wire.OpScanV, Lo: lo, Hi: hi, Max: m})
-}
-
-// ScanBytes returns varlen pairs with lo <= key <= hi in ascending key
-// order. Pages are bounded twice over — by max (or the server's pair cap)
-// and by the response frame budget — so a result set at either bound may
-// be a truncation; page with lo = lastKey+1 to continue. The pairs' value
-// slices share one allocation owned by the caller.
-func (c *Conn) ScanBytes(lo, hi uint64, max int) ([]VKV, error) {
-	call := c.ScanBytesAsync(lo, hi, max)
-	if err := call.Wait(); err != nil {
-		return nil, err
-	}
-	return call.Resp.VPairs, nil
+	return c.ScanContext(context.Background(), lo, hi, max)
 }
 
 // StatsAsync issues a pipelined Stats request.
@@ -510,9 +444,5 @@ func (c *Conn) StatsAsync() *Call {
 
 // Stats fetches the server's counter snapshot.
 func (c *Conn) Stats() (wire.Stats, error) {
-	call := c.StatsAsync()
-	if err := call.Wait(); err != nil {
-		return wire.Stats{}, err
-	}
-	return call.Resp.Stats, nil
+	return c.StatsContext(context.Background())
 }

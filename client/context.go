@@ -55,30 +55,6 @@ func (c *Conn) ScanContext(ctx context.Context, lo, hi uint64, max int) ([]KV, e
 	return call.Resp.Pairs, nil
 }
 
-// GetBytesContext is GetBytes bounded by ctx.
-func (c *Conn) GetBytesContext(ctx context.Context, key uint64) ([]byte, bool, error) {
-	call := c.GetBytesAsync(key)
-	if err := c.wait(ctx, call); err != nil {
-		return nil, false, err
-	}
-	return call.Resp.VVal, call.Resp.Status == wire.StatusOK, nil
-}
-
-// PutBytesContext is PutBytes bounded by ctx (same unknown-outcome caveat
-// as PutContext).
-func (c *Conn) PutBytesContext(ctx context.Context, key uint64, val []byte) error {
-	return c.wait(ctx, c.PutBytesAsync(key, val))
-}
-
-// ScanBytesContext is ScanBytes bounded by ctx.
-func (c *Conn) ScanBytesContext(ctx context.Context, lo, hi uint64, max int) ([]VKV, error) {
-	call := c.ScanBytesAsync(lo, hi, max)
-	if err := c.wait(ctx, call); err != nil {
-		return nil, err
-	}
-	return call.Resp.VPairs, nil
-}
-
 // StatsContext is Stats bounded by ctx.
 func (c *Conn) StatsContext(ctx context.Context) (wire.Stats, error) {
 	call := c.StatsAsync()

@@ -19,14 +19,10 @@ func (c *Conn) GetKVAsync(key []byte) *Call {
 
 // GetKV returns the value stored under the byte-string key on the server.
 // Keys are 1..wire.MaxKey bytes. The returned slice is owned by the
-// caller. Reading a prefix written through the uint64-keyed APIs fails
-// with a *RemoteError.
+// caller. Reading a prefix written through the fixed-width uint64 API
+// fails with a *RemoteError.
 func (c *Conn) GetKV(key []byte) ([]byte, bool, error) {
-	call := c.GetKVAsync(key)
-	if err := call.Wait(); err != nil {
-		return nil, false, err
-	}
-	return call.Resp.VVal, call.Resp.Status == wire.StatusOK, nil
+	return c.GetKVContext(context.Background(), key)
 }
 
 // PutKVAsync issues a pipelined PutK (byte-string-keyed Put). key must be
@@ -40,7 +36,7 @@ func (c *Conn) PutKVAsync(key, val []byte) *Call {
 // PutKV stores val under the byte-string key on the server. When it
 // returns nil the write is durable in the store's persistence model.
 func (c *Conn) PutKV(key, val []byte) error {
-	return c.PutKVAsync(key, val).Wait()
+	return c.PutKVContext(context.Background(), key, val)
 }
 
 // DeleteKVAsync issues a pipelined DeleteK. key is captured by reference;
@@ -52,11 +48,7 @@ func (c *Conn) DeleteKVAsync(key []byte) *Call {
 // DeleteKV removes the byte-string key on the server, reporting whether it
 // was present.
 func (c *Conn) DeleteKV(key []byte) (bool, error) {
-	call := c.DeleteKVAsync(key)
-	if err := call.Wait(); err != nil {
-		return false, err
-	}
-	return call.Resp.Status == wire.StatusOK, nil
+	return c.DeleteKVContext(context.Background(), key)
 }
 
 // ScanKVAsync issues a pipelined ScanK for lo <= key <= hi in bytewise
@@ -79,11 +71,7 @@ func (c *Conn) ScanKVAsync(lo, hi []byte, max int) *Call {
 // immediate successor) to continue. The pairs' key and value slices share
 // one allocation owned by the caller.
 func (c *Conn) ScanKV(lo, hi []byte, max int) ([]KKV, error) {
-	call := c.ScanKVAsync(lo, hi, max)
-	if err := call.Wait(); err != nil {
-		return nil, err
-	}
-	return call.Resp.KPairs, nil
+	return c.ScanKVContext(context.Background(), lo, hi, max)
 }
 
 // GetKVContext is GetKV bounded by ctx.

@@ -188,29 +188,6 @@ func (p *Pool) Scan(lo, hi uint64, max int) (kvs []KV, err error) {
 	return kvs, err
 }
 
-// GetBytes round-robins a varlen Get (retried if Options.RetryReads).
-func (p *Pool) GetBytes(key uint64) (val []byte, ok bool, err error) {
-	err = p.retryRead(func(c *Conn) error {
-		var e error
-		val, ok, e = c.GetBytes(key)
-		return e
-	})
-	return val, ok, err
-}
-
-// PutBytes round-robins a varlen Put. Writes are never auto-retried.
-func (p *Pool) PutBytes(key uint64, val []byte) error { return p.Conn().PutBytes(key, val) }
-
-// ScanBytes round-robins a varlen Scan (retried if Options.RetryReads).
-func (p *Pool) ScanBytes(lo, hi uint64, max int) (kvs []VKV, err error) {
-	err = p.retryRead(func(c *Conn) error {
-		var e error
-		kvs, e = c.ScanBytes(lo, hi, max)
-		return e
-	})
-	return kvs, err
-}
-
 // Stats round-robins a Stats fetch (retried if Options.RetryReads).
 func (p *Pool) Stats() (st wire.Stats, err error) {
 	err = p.retryRead(func(c *Conn) error {

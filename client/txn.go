@@ -79,10 +79,7 @@ func (c *Conn) CommitTxnAsync(tx *Txn) *Call {
 // unknown, like any other write. An empty transaction commits as a no-op
 // without touching the connection.
 func (c *Conn) CommitTxn(tx *Txn) error {
-	if tx.Len() == 0 {
-		return nil
-	}
-	return c.CommitTxnAsync(tx).Wait()
+	return c.CommitTxnContext(context.Background(), tx)
 }
 
 // CommitTxnContext is CommitTxn bounded by ctx. A ctx cut leaves the

@@ -29,26 +29,23 @@
 // scan; weights need not sum to 100). Scans page -scanmax pairs from a
 // random key upward, driving the server's pooled Scan response path.
 //
-// -valsize N switches the workload to the varlen-value ops: puts carry
-// N-byte values (PutV), gets and scans read them back (GetV/ScanV), and
-// reported throughput includes the value payload bytes. N must stay under
-// wire.MaxValue. -valsize 0 (default) drives the fixed-width u64 ops.
-//
 // -keysize N switches the workload to the byte-string-keyed ops
 // (PutK/GetK/DeleteK/ScanK): each key is N bytes (up to wire.MaxKey) with
 // the key index packed into its leading bytes, so keys are distinct and
 // bytewise order matches index order. Values carry -valsize bytes (minimum
-// 8 when -valsize is 0). -keydist picks the key index distribution:
-// uniform (default) or zipf (skewed toward low indices, exercising
-// per-prefix bucket contention).
+// 8 when -valsize is 0; at most wire.MaxKValue). -valsize N without
+// -keysize drives the same byte-key ops with 8-byte keys; with both at 0
+// (the default) the generator drives the fixed-width u64 ops. -keydist
+// picks the key index distribution: uniform (default) or zipf (skewed
+// toward low indices, exercising per-prefix bucket contention).
 //
 // -call-timeout puts a deadline on every request (client.Options
 // CallTimeout), so a stalled or overloaded server fails calls instead of
 // parking the generator. Failures are reported by class — busy (server
-// shed the request past its -admit cap), nospace (store refused a varlen
-// write), other — which makes the generator usable as an overload probe:
-// run it against a small -admit server and the busy count is the shed
-// traffic, with no other error class present.
+// shed the request past its -admit cap), nospace (store refused a
+// byte-key write), other — which makes the generator usable as an
+// overload probe: run it against a small -admit server and the busy count
+// is the shed traffic, with no other error class present.
 //
 // -memprofile writes a heap profile when the run finishes — the easy check
 // that read-heavy serving stays allocation-quiet end to end.
@@ -172,17 +169,20 @@ func main() {
 	keys := flag.Uint64("keys", 1000000, "key space size")
 	preload := flag.Int("preload", 0, "keys to PutBatch before timing (0 = keyspace/4)")
 	scanMax := flag.Int("scanmax", 100, "pairs per scan request in -mix scan ops")
-	valSize := flag.Int("valsize", 0, "value bytes per op: 0 = fixed-width u64 ops, >0 = varlen ops (PutV/GetV/ScanV)")
+	valSize := flag.Int("valsize", 0, "value bytes per op: 0 = fixed-width u64 ops, >0 = byte-key ops (-keysize defaults to 8)")
 	keySize := flag.Int("keysize", 0, "key bytes per op: 0 = u64 keys, >0 = byte-string ops (PutK/GetK/DeleteK/ScanK)")
 	keyDist := flag.String("keydist", "uniform", "key index distribution: uniform or zipf")
 	callTimeout := flag.Duration("call-timeout", 0, "per-request deadline; timed-out calls fail instead of blocking the run (0 = none)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
 	if *clients < 1 || *conns < 1 || *ops < 1 || *keys < 1 || *readFrac < 0 || *readFrac > 1 || *scanMax < 1 ||
-		*pipeline < 1 || *duration < 0 || *valSize < 0 || *valSize > wire.MaxValue || *callTimeout < 0 ||
+		*pipeline < 1 || *duration < 0 || *valSize < 0 || *valSize > wire.MaxKValue || *callTimeout < 0 ||
 		*keySize < 0 || *keySize > wire.MaxKey || (*keyDist != "uniform" && *keyDist != "zipf") {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *valSize > 0 && *keySize == 0 {
+		*keySize = 8
 	}
 	if *keySize > 0 && *keySize < 8 {
 		// Short keys bound the distinct-key count; clamp the keyspace so
@@ -216,11 +216,7 @@ func main() {
 		t0 := time.Now()
 		if *keySize > 0 {
 			// Byte-string keys: pipeline individual PutK frames.
-			vs := *valSize
-			if vs == 0 {
-				vs = 8
-			}
-			val := make([]byte, vs)
+			val := make([]byte, max(*valSize, 8))
 			rng.Read(val)
 			c := pool.Conn()
 			calls := make([]*client.Call, 0, 1024)
@@ -234,27 +230,6 @@ func main() {
 			}
 			for i := 0; i < nPre; i++ {
 				calls = append(calls, c.PutKVAsync(makeKey(*keySize, rng.Uint64()%*keys), val))
-				if len(calls) == cap(calls) {
-					flush()
-				}
-			}
-			flush()
-		} else if *valSize > 0 {
-			// No varlen batch op: pipeline individual PutV frames.
-			val := make([]byte, *valSize)
-			rng.Read(val)
-			c := pool.Conn()
-			calls := make([]*client.Call, 0, 1024)
-			flush := func() {
-				for _, call := range calls {
-					if err := call.Wait(); err != nil {
-						log.Fatalf("preload: %v", err)
-					}
-				}
-				calls = calls[:0]
-			}
-			for i := 0; i < nPre; i++ {
-				calls = append(calls, c.PutBytesAsync(rng.Uint64()%*keys+1, val))
 				if len(calls) == cap(calls) {
 					flush()
 				}
@@ -291,7 +266,7 @@ func main() {
 	}
 	// Failures are counted by class so an overload or space-exhaustion run
 	// reports what actually happened, not just a number: busy = shed by the
-	// server's admission cap, nospace = varlen write refused by the store's
+	// server's admission cap, nospace = byte-key write refused by the store's
 	// space admission, other = transport faults, timeouts, remote errors.
 	var busyErrs, nospaceErrs, otherErrs, scanned atomic.Uint64
 	var wg sync.WaitGroup
@@ -303,11 +278,8 @@ func main() {
 			rng := rand.New(rand.NewSource(int64(g) + 100))
 			c := pool.Conn() // pin a connection; many goroutines share each
 			var val []byte
-			if vs := *valSize; vs > 0 || *keySize > 0 {
-				if vs == 0 {
-					vs = 8
-				}
-				val = make([]byte, vs)
+			if *keySize > 0 {
+				val = make([]byte, max(*valSize, 8))
 				rng.Read(val)
 			}
 			nextIdx := func() uint64 { return rng.Uint64() % *keys }
@@ -331,8 +303,6 @@ func main() {
 				switch p.call.Op {
 				case wire.OpScan:
 					scanned.Add(uint64(len(p.call.Resp.Pairs)))
-				case wire.OpScanV:
-					scanned.Add(uint64(len(p.call.Resp.VPairs)))
 				case wire.OpScanK:
 					scanned.Add(uint64(len(p.call.Resp.KPairs)))
 				}
@@ -357,18 +327,12 @@ func main() {
 					call = c.DeleteKVAsync(makeKey(*keySize, idx))
 				case *keySize > 0 && op == "scan":
 					call = c.ScanKVAsync(makeKey(*keySize, idx), nil, *scanMax)
-				case op == "get" && *valSize > 0:
-					call = c.GetBytesAsync(k)
 				case op == "get":
 					call = c.GetAsync(k)
-				case op == "put" && *valSize > 0:
-					call = c.PutBytesAsync(k, val)
 				case op == "put":
 					call = c.PutAsync(k, k^0xbeef)
 				case op == "delete":
 					call = c.DeleteAsync(k)
-				case op == "scan" && *valSize > 0:
-					call = c.ScanBytesAsync(k, ^uint64(0), *scanMax)
 				case op == "scan":
 					call = c.ScanAsync(k, ^uint64(0), *scanMax)
 				}
@@ -415,20 +379,14 @@ func main() {
 		if mix.scan > 0 {
 			fmt.Printf(", %d pairs scanned", scanned.Load())
 		}
-		if *valSize > 0 {
-			fmt.Printf(", varlen %d B values", *valSize)
-		}
 		if *keySize > 0 {
-			fmt.Printf(", %d B byte keys (%s)", *keySize, *keyDist)
+			fmt.Printf(", %d B byte keys (%s), %d B values", *keySize, *keyDist, max(*valSize, 8))
 		}
 		fmt.Println()
 	} else {
 		fmt.Printf("config: %d clients over %d conns, pipeline %d, %.0f%% reads, keyspace %d", *clients, *conns, *pipeline, *readFrac*100, *keys)
-		if *valSize > 0 {
-			fmt.Printf(", varlen %d B values", *valSize)
-		}
 		if *keySize > 0 {
-			fmt.Printf(", %d B byte keys (%s)", *keySize, *keyDist)
+			fmt.Printf(", %d B byte keys (%s), %d B values", *keySize, *keyDist, max(*valSize, 8))
 		}
 		fmt.Println()
 	}

@@ -23,7 +23,7 @@
 // response-coalescing policy (flush on bytes, on pending count, or after a
 // short delay while the window is open).
 //
-// -gc-ratio tunes value-log compaction: when a shard's varlen garbage
+// -gc-ratio tunes value-log compaction: when a shard's value-log garbage
 // fraction reaches the ratio, the writing session compacts the shard
 // inline, so sustained overwrite traffic runs in bounded space. -gc-ratio
 // -1 disables automatic compaction (the log then only grows).

@@ -10,12 +10,12 @@
 //   - package store — a sharded concurrent KV store that hash-partitions
 //     keys across FAST+FAIR trees (one pool per shard), hides per-goroutine
 //     pmem.Thread handling behind Sessions, stores fixed-width uint64
-//     values in-tree and variable-length byte values through a per-shard
+//     values in-tree and byte-string keys and values through a per-shard
 //     persistent value log (internal/vlog), reopens crash images with
 //     per-shard recovery, and drains in-flight operations on Close
 //     (operations on a closed store fail with store.ErrClosed);
 //   - package wire — the pmkv network protocol: length-prefixed binary
-//     frames with request ids for pipelining, fixed-width and varlen
+//     frames with request ids for pipelining, fixed-width and byte-key
 //     opcodes, fuzz-hardened decoders (normative spec in wire/PROTOCOL.md);
 //   - package server — a TCP server over a store.Store with per-connection
 //     worker Sessions, graceful drain on Shutdown, and serve-side counters

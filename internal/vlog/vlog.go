@@ -801,9 +801,9 @@ func (l *Log) GC(th *pmem.Thread, maxExtents int, f GCFuncs) (GCResult, error) {
 
 // Stats describes a log's space accounting. Records/Bytes/Used/Extents are
 // filled by the full walk in Check; the counter fields are also available
-// cheaply through QuickStats. Live+Garbage can drift below Bytes when keys
-// written through the varlen API are later touched through the fixed-width
-// one (the store cannot attribute those bytes); recovery recomputes both
+// cheaply through QuickStats. Live+Garbage can drift below Bytes when
+// words written through the byte-key API are later touched through the
+// fixed-width one (the store cannot attribute those bytes); recovery recomputes both
 // from the tree, and GC settles them extent by extent.
 type Stats struct {
 	Records int   // published records (walk)

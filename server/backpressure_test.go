@@ -115,7 +115,10 @@ func TestSlowClientBackpressure(t *testing.T) {
 	// Drain the slow client: every fully-written frame gets its response
 	// (frame header + the 10-byte NotFound body) once the window reopens.
 	// The trailing partial frame (if any) gets nothing — the server is
-	// still waiting for its remainder.
+	// still waiting for its remainder. The tiny receive buffer did its job
+	// (forcing the wedge); restore a normal one first, or the backlog
+	// trickles through a 4 KiB window at loopback-stall speed.
+	tc.SetReadBuffer(1 << 20)
 	want := fullFrames * (wire.FrameHdrSize + 10)
 	got := 0
 	buf := make([]byte, 64<<10)
@@ -154,7 +157,7 @@ func TestSlowClientBackpressure(t *testing.T) {
 func TestShutdownAbortsWedgedClient(t *testing.T) {
 	ts := startServer(t, store.Options{}, Options{MaxInflight: 32, InlineBatch: -1})
 
-	// Store one value near the frame cap; each GetV response carries it.
+	// Store one value near the frame cap; each GetK response carries it.
 	c, err := client.Dial(ts.addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +166,7 @@ func TestShutdownAbortsWedgedClient(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	if err := c.PutBytes(77, big); err != nil {
+	if err := c.PutKV([]byte("big"), big); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -178,7 +181,7 @@ func TestShutdownAbortsWedgedClient(t *testing.T) {
 	tc.SetWriteBuffer(4 << 10)
 	var out []byte
 	for i := uint64(1); i <= 200; i++ {
-		out, err = wire.AppendRequest(out, &wire.Request{ID: i, Op: wire.OpGetV, Key: 77})
+		out, err = wire.AppendRequest(out, &wire.Request{ID: i, Op: wire.OpGetK, KKey: []byte("big")})
 		if err != nil {
 			t.Fatal(err)
 		}

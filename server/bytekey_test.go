@@ -263,9 +263,9 @@ func TestByteKeyPipelined(t *testing.T) {
 	}
 }
 
-// TestByteKeyMixedAPIRejected drives a uint64-API write and a byte-key
+// TestByteKeyMixedAPIRejected drives a fixed-width write and a byte-key
 // read whose packed prefix collides with it: the store must refuse with a
-// clear error rather than misparse the fixed-width record as a bucket.
+// clear error rather than misparse the fixed-width word as a bucket.
 func TestByteKeyMixedAPIRejected(t *testing.T) {
 	ts := startServer(t, store.Options{Shards: 1}, Options{})
 	c, err := client.Dial(ts.addr, client.Options{})
@@ -276,16 +276,16 @@ func TestByteKeyMixedAPIRejected(t *testing.T) {
 
 	key := []byte("mixedkey") // exactly 8 bytes: its packed prefix is the word below
 	word := store.PackPrefix(key)
-	if err := c.PutBytes(word, []byte("written fixed-width")); err != nil {
+	if err := c.Put(word, 12345); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = c.GetKV(key)
 	var re *client.RemoteError
 	if !errors.As(err, &re) {
-		t.Fatalf("GetKV of uint64-API prefix: err = %v, want RemoteError", err)
+		t.Fatalf("GetKV of fixed-width prefix: err = %v, want RemoteError", err)
 	}
-	// The varlen API still reads its own record.
-	if v, ok, err := c.GetBytes(word); err != nil || !ok || !bytes.Equal(v, []byte("written fixed-width")) {
-		t.Fatalf("GetBytes after GetKV attempt: %q %v %v", v, ok, err)
+	// The fixed-width API still reads its own word.
+	if v, ok, err := c.Get(word); err != nil || !ok || v != 12345 {
+		t.Fatalf("Get after GetKV attempt: %d %v %v", v, ok, err)
 	}
 }

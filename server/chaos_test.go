@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -74,6 +75,7 @@ func TestChaosNoLostAckedWrites(t *testing.T) {
 		}
 		return v
 	}
+	bkey := func(k uint64) []byte { return binary.BigEndian.AppendUint64(nil, k) }
 	acked := map[uint64]struct{}{}
 	var key uint64
 	failed := 0
@@ -88,7 +90,7 @@ func TestChaosNoLostAckedWrites(t *testing.T) {
 		var keys []uint64
 		for i := 0; i < 300; i++ {
 			key++
-			calls = append(calls, c.PutBytesAsync(key, bval(key)))
+			calls = append(calls, c.PutKVAsync(bkey(key), bval(key)))
 			keys = append(keys, key)
 		}
 		for i, call := range calls {
@@ -126,7 +128,7 @@ func TestChaosNoLostAckedWrites(t *testing.T) {
 	ss := re.NewSession()
 	defer ss.Close()
 	for k := range acked {
-		v, ok, err := ss.GetBytes(k, nil)
+		v, ok, err := ss.GetKV(bkey(k), nil)
 		if err != nil || !ok || !bytes.Equal(v, bval(k)) {
 			t.Fatalf("acked write lost or damaged: key %d (ok=%v, err=%v)", k, ok, err)
 		}

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/store"
 	"repro/wire"
 )
@@ -48,10 +49,10 @@ type conn struct {
 	// inline/steered boundary.
 	steered atomic.Int64
 
-	// sampleCtr drives stage-latency sampling on the inline path. Only
+	// sampler drives stage-latency sampling on the inline path. Only
 	// the reader goroutine touches it (inline execution runs there);
-	// steered execution uses the worker's own counter.
-	sampleCtr uint32
+	// steered execution uses the worker's own sampler.
+	sampler metrics.Sampler
 
 	// issued is the reader's final request count, published (then
 	// readerDone closed) when the reader exits so the writer knows how
@@ -63,20 +64,18 @@ type conn struct {
 	// one per Scan) and the writer (returns it after encoding), keeping
 	// the steady-state Scan path allocation-free. A channel rather than a
 	// sync.Pool: handing a slice through a buffered channel boxes
-	// nothing. varBufs is the same discipline for the varlen ops' value
+	// nothing. varBufs is the same discipline for the byte-key ops' value
 	// arenas and pair buffers.
 	scanBufs chan []wire.KV
 	varBufs  chan *varlenBuf
 }
 
-// varlenBuf is the pooled backing store of one varlen response: GetV and
-// GetK borrow the arena for their value bytes, ScanV additionally borrows
-// the pair slice (every Val a subslice of the arena) and the per-pair end
-// offsets used to rebuild those subslices after the arena stops growing.
-// ScanK borrows kpairs the same way, with two ends per pair (key end,
-// value end) since both the key and the value live in the arena.
+// varlenBuf is the pooled backing store of one variable-length response:
+// GetK borrows the arena for its value bytes; ScanK additionally borrows
+// the pair slice (every Key and Val a subslice of the arena) and the
+// per-pair end offsets — two per pair, key end and value end — used to
+// rebuild those subslices after the arena stops growing.
 type varlenBuf struct {
-	pairs  []wire.VKV
 	kpairs []wire.KKV
 	arena  []byte
 	ends   []int
@@ -116,7 +115,6 @@ func newConn(s *Server, nc net.Conn) *conn {
 func (c *conn) takeVarBuf() *varlenBuf {
 	select {
 	case vb := <-c.varBufs:
-		vb.pairs = vb.pairs[:0]
 		vb.kpairs = vb.kpairs[:0]
 		vb.arena = vb.arena[:0]
 		vb.ends = vb.ends[:0]
@@ -207,7 +205,7 @@ func (c *conn) readLoop() (issued int) {
 			c.steered.Load() == 0 {
 			s.inlineOps.Add(uint64(len(batch)))
 			for i := range batch {
-				c.respCh <- c.executeOne(ss, &batch[i], t0, c.home, &c.sampleCtr)
+				c.respCh <- c.executeOne(ss, &batch[i], t0, c.home, &c.sampler)
 			}
 		} else {
 			s.steeredOps.Add(uint64(len(batch)))
@@ -452,7 +450,7 @@ func (c *conn) writeLoop() {
 }
 
 // recycleRespBufs returns a response's pooled buffers — the Scan pair
-// buffer and/or the varlen buffer — to the connection's recycle channels
+// buffer and/or the byte-key buffer — to the connection's recycle channels
 // once the response no longer needs them (encoded or dropped). If a channel
 // is full the buffer is simply left to the GC.
 func (c *conn) recycleRespBufs(resp *svResp) {
@@ -469,14 +467,14 @@ func (c *conn) recycleRespBufs(resp *svResp) {
 		default:
 		}
 		resp.vb = nil
-		resp.VVal, resp.VPairs, resp.KPairs = nil, nil, nil
+		resp.VVal, resp.KPairs = nil, nil
 	}
 }
 
-// latencySampleMask sets the server's stage-latency sampling rate to one
-// in (mask+1) requests; must be a power of two minus one. Two clock
+// latencySampleMask sets the server's stage-latency sampling probability
+// to one in (mask+1) requests; must be a power of two minus one. Two clock
 // reads cost ~100ns on some hosts, so sampling keeps the pipeline's
-// per-request overhead to a counter increment and a branch. Setting
+// per-request overhead to one xorshift step and a branch. Setting
 // Options.SlowOpThreshold forces every request onto the clocked path —
 // the slow-op log must not sample — at that clocking cost.
 var latencySampleMask uint32 = 7
@@ -485,15 +483,15 @@ var latencySampleMask uint32 = 7
 // around it: the queue-wait histogram (batch ingest t0 to execution start),
 // the execute histogram, the per-class whole-request histogram backing the
 // wire Stats latency summary, and the slow-op check. Stage latencies are
-// sampled one in latencySampleMask+1 requests via ctr, a counter owned by
-// the calling executor goroutine (the reader's on the inline path, the
-// worker's on the steered path). wid hints the striped counters. A sampled
+// sampled with probability 1/(latencySampleMask+1) per request via smp, a
+// sampler owned by the calling executor goroutine (the reader's on the
+// inline path, the worker's on the steered path), so no periodic request
+// mix can alias with it. wid hints the striped counters. A sampled
 // response carries its ready time so the writer can charge the flush-wait
 // stage; an unsampled one carries zero and the writer skips it.
-func (c *conn) executeOne(ss *store.Session, req *wire.Request, t0 int64, wid int, ctr *uint32) svResp {
+func (c *conn) executeOne(ss *store.Session, req *wire.Request, t0 int64, wid int, smp *metrics.Sampler) svResp {
 	s := c.srv
-	*ctr++
-	if *ctr&latencySampleMask != 0 && s.opts.SlowOpThreshold == 0 {
+	if !smp.Sample(latencySampleMask) && s.opts.SlowOpThreshold == 0 {
 		out := c.serve(ss, req, wid)
 		s.releaseAdmit()
 		return out
@@ -523,7 +521,7 @@ func (c *conn) executeOne(ss *store.Session, req *wire.Request, t0 int64, wid in
 // that crossed its commit point but failed to apply becomes
 // StatusTxnIncomplete so clients can tell "committed, pending replay"
 // from "refused, nothing applied". Responses that
-// borrow pooled buffers (Scan pairs, varlen values) carry them in the
+// borrow pooled buffers (Scan pairs, byte-key values) carry them in the
 // svResp wrapper for the writer to recycle. wid hints the per-opcode
 // striped counters.
 func (c *conn) serve(ss *store.Session, req *wire.Request, wid int) svResp {
@@ -550,7 +548,7 @@ func (c *conn) serve(ss *store.Session, req *wire.Request, wid int) svResp {
 			resp.Status = wire.StatusTxnIncomplete
 		}
 		resp.Msg = err.Error()
-		resp.VVal, resp.VPairs, resp.KPairs = nil, nil, nil
+		resp.VVal, resp.KPairs = nil, nil
 		return out
 	}
 	switch req.Op {
@@ -603,71 +601,6 @@ func (c *conn) serve(ss *store.Session, req *wire.Request, wid int) svResp {
 			pairs = append(pairs, wire.KV{Key: kv.Key, Val: kv.Val})
 		}
 		resp.Pairs = pairs
-	case wire.OpGetV:
-		vb := c.takeVarBuf()
-		out.vb = vb
-		val, ok, err := ss.GetBytes(req.Key, vb.arena[:0])
-		if err != nil {
-			return fail(err)
-		}
-		vb.arena = val
-		if !ok {
-			resp.Status = wire.StatusNotFound
-			return out
-		}
-		resp.VVal = val
-	case wire.OpPutV:
-		if err := ss.PutBytes(req.Key, req.VVal); err != nil {
-			return fail(err)
-		}
-	case wire.OpScanV:
-		max := s.opts.MaxScan
-		if req.Max != 0 && int(req.Max) < max {
-			max = int(req.Max)
-		}
-		vb := c.takeVarBuf()
-		out.vb = vb
-		// The response must stay under the frame cap: count bounded by
-		// max, bytes bounded by a budget charging each pair's 12-byte
-		// header as it is appended. A first value too big for the budget
-		// alone is still sent (progress guarantee; it fits a frame since
-		// values are capped at wire.MaxValue); anything later that would
-		// overflow ends the page.
-		budget := int(wire.MaxFrame) - 64
-		var oversizedKey uint64
-		oversized := false
-		err := ss.ScanBytes(req.Lo, req.Hi, max, func(k uint64, v []byte) bool {
-			if len(v) > wire.MaxValue {
-				// Stored through the embedded API above the wire cap;
-				// an empty page here would strand paginating clients,
-				// so surface it as the request's failure instead.
-				if len(vb.pairs) == 0 {
-					oversized, oversizedKey = true, k
-				}
-				return false
-			}
-			used := len(vb.arena) + 12*len(vb.pairs)
-			if len(vb.pairs) > 0 && used+12+len(v) > budget {
-				return false
-			}
-			vb.arena = append(vb.arena, v...)
-			vb.pairs = append(vb.pairs, wire.VKV{Key: k})
-			vb.ends = append(vb.ends, len(vb.arena))
-			return len(vb.pairs) < max && len(vb.arena)+12*len(vb.pairs) < budget
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if oversized {
-			return fail(fmt.Errorf("server: value at key %d exceeds the wire size cap", oversizedKey))
-		}
-		// The arena has stopped moving; point the pairs into it.
-		start := 0
-		for i := range vb.pairs {
-			vb.pairs[i].Val = vb.arena[start:vb.ends[i]:vb.ends[i]]
-			start = vb.ends[i]
-		}
-		resp.VPairs = vb.pairs
 	case wire.OpGetK:
 		vb := c.takeVarBuf()
 		out.vb = vb
@@ -700,10 +633,12 @@ func (c *conn) serve(ss *store.Session, req *wire.Request, wid int) svResp {
 		}
 		vb := c.takeVarBuf()
 		out.vb = vb
-		// Same frame-cap discipline as ScanV, with a 6-byte per-pair
-		// header (klen u16 + vlen u32) and the key bytes charged along
-		// with the value. The first pair always fits: keys are capped at
-		// wire.MaxKey and stored values at wire.MaxKValue = MaxFrame-2048.
+		// The response must stay under the frame cap: count bounded by
+		// max, bytes bounded by a budget charging each pair's 6-byte
+		// header (klen u16 + vlen u32) and its key bytes along with the
+		// value; a pair that would overflow ends the page. The first pair
+		// always fits: keys are capped at wire.MaxKey and stored values
+		// at wire.MaxKValue = MaxFrame-2048.
 		// Both key and value land in the arena; ends records two offsets
 		// per pair so the subslices can be rebuilt once it stops growing.
 		budget := int(wire.MaxFrame) - 64

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/store"
@@ -36,7 +37,7 @@ func newServePath(tb testing.TB, nKeys int) (*conn, *store.Session, []uint64) {
 // the writer's encode step, recycling the pooled buffers the way writeLoop
 // does.
 func serveEncode(c *conn, ss *store.Session, req *wire.Request, buf []byte) ([]byte, wire.Status) {
-	resp := c.executeOne(ss, req, c.srv.mnow(), 0, &c.sampleCtr)
+	resp := c.executeOne(ss, req, c.srv.mnow(), 0, &c.sampler)
 	buf, err := wire.AppendResponse(buf[:0], &resp.Response)
 	if err != nil {
 		panic(err)
@@ -76,8 +77,9 @@ func BenchmarkServeScan(b *testing.B) {
 	}
 }
 
-// newServePathV preloads varlen values for the varlen serve benchmarks.
-func newServePathV(tb testing.TB, nKeys, valSize int) (*conn, *store.Session, []uint64) {
+// newServePathK preloads byte-key values for the byte-key serve
+// benchmarks: 8-byte big-endian keys, one single-entry bucket each.
+func newServePathK(tb testing.TB, nKeys, valSize int) (*conn, *store.Session, [][]byte) {
 	tb.Helper()
 	st, err := store.Open(store.Options{Shards: 4, ShardSize: 64 << 20})
 	if err != nil {
@@ -86,14 +88,14 @@ func newServePathV(tb testing.TB, nKeys, valSize int) (*conn, *store.Session, []
 	tb.Cleanup(func() { st.Close() })
 	ss := st.NewSession()
 	tb.Cleanup(ss.Close)
-	keys := make([]uint64, nKeys)
+	keys := make([][]byte, nKeys)
 	val := make([]byte, valSize)
 	for i := range val {
 		val[i] = byte(i)
 	}
 	for i := range keys {
-		keys[i] = uint64(i)*2654435761 + 1
-		if err := ss.PutBytes(keys[i], val); err != nil {
+		keys[i] = binary.BigEndian.AppendUint64(nil, uint64(i)*2654435761+1)
+		if err := ss.PutKV(keys[i], val); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -101,14 +103,14 @@ func newServePathV(tb testing.TB, nKeys, valSize int) (*conn, *store.Session, []
 	return newConn(s, nil), ss, keys
 }
 
-func BenchmarkServeGetV(b *testing.B) {
-	c, ss, keys := newServePathV(b, 20000, 128)
-	req := wire.Request{ID: 1, Op: wire.OpGetV}
+func BenchmarkServeGetK(b *testing.B) {
+	c, ss, keys := newServePathK(b, 20000, 128)
+	req := wire.Request{ID: 1, Op: wire.OpGetK}
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req.Key = keys[i%len(keys)]
+		req.KKey = keys[i%len(keys)]
 		var st wire.Status
 		buf, st = serveEncode(c, ss, &req, buf)
 		if st != wire.StatusOK {
@@ -117,15 +119,15 @@ func BenchmarkServeGetV(b *testing.B) {
 	}
 }
 
-func BenchmarkServePutV(b *testing.B) {
-	c, ss, keys := newServePathV(b, 20000, 128)
+func BenchmarkServePutK(b *testing.B) {
+	c, ss, keys := newServePathK(b, 20000, 128)
 	val := make([]byte, 128)
-	req := wire.Request{ID: 1, Op: wire.OpPutV, VVal: val}
+	req := wire.Request{ID: 1, Op: wire.OpPutK, VVal: val}
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req.Key = keys[i%len(keys)]
+		req.KKey = keys[i%len(keys)]
 		var st wire.Status
 		buf, st = serveEncode(c, ss, &req, buf)
 		if st != wire.StatusOK {
@@ -134,9 +136,9 @@ func BenchmarkServePutV(b *testing.B) {
 	}
 }
 
-func BenchmarkServeScanV(b *testing.B) {
-	c, ss, _ := newServePathV(b, 20000, 128)
-	req := wire.Request{ID: 1, Op: wire.OpScanV, Lo: 0, Hi: ^uint64(0), Max: 100}
+func BenchmarkServeScanK(b *testing.B) {
+	c, ss, _ := newServePathK(b, 20000, 128)
+	req := wire.Request{ID: 1, Op: wire.OpScanK, Max: 100}
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -149,23 +151,23 @@ func BenchmarkServeScanV(b *testing.B) {
 	}
 }
 
-// TestServeVarlenAllocDiscipline bounds the varlen serve+encode path: all
-// buffers (value arena, pair slices, frame) are pooled, so the only
-// steady-state allocations allowed are the small constant ones the scan
-// callback needs — never per-byte or per-pair costs. GetV, whose path has
-// no closure, must stay allocation-free like the fixed ops.
-func TestServeVarlenAllocDiscipline(t *testing.T) {
+// TestServeByteKeyAllocDiscipline bounds the byte-key serve+encode path:
+// all buffers (value arena, pair slices, bucket images, frame) are pooled,
+// so GetK, like the fixed ops, must stay allocation-free, and the only
+// steady-state allocations ScanK may make are the small constant ones its
+// per-shard tree-page collectors need — never per-byte or per-pair costs.
+func TestServeByteKeyAllocDiscipline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the contract is checked in non-race runs")
 	}
-	c, ss, keys := newServePathV(t, 5000, 256)
+	c, ss, keys := newServePathK(t, 5000, 256)
 	var buf []byte
 
-	get := wire.Request{ID: 1, Op: wire.OpGetV, Key: keys[0]}
+	get := wire.Request{ID: 1, Op: wire.OpGetK, KKey: keys[0]}
 	buf, _ = serveEncode(c, ss, &get, buf) // warm-up: sizes buffers
 	i := 0
 	if allocs := testing.AllocsPerRun(100, func() {
-		get.Key = keys[i%len(keys)]
+		get.KKey = keys[i%len(keys)]
 		i++
 		var st wire.Status
 		buf, st = serveEncode(c, ss, &get, buf)
@@ -173,10 +175,10 @@ func TestServeVarlenAllocDiscipline(t *testing.T) {
 			t.Fatalf("status %v", st)
 		}
 	}); allocs != 0 {
-		t.Errorf("GetV serve+encode allocs/op = %v, want 0", allocs)
+		t.Errorf("GetK serve+encode allocs/op = %v, want 0", allocs)
 	}
 
-	scan := wire.Request{ID: 2, Op: wire.OpScanV, Lo: 0, Hi: ^uint64(0), Max: 64}
+	scan := wire.Request{ID: 2, Op: wire.OpScanK, Max: 64}
 	buf, _ = serveEncode(c, ss, &scan, buf) // warm-up
 	if allocs := testing.AllocsPerRun(100, func() {
 		var st wire.Status
@@ -184,8 +186,8 @@ func TestServeVarlenAllocDiscipline(t *testing.T) {
 		if st != wire.StatusOK {
 			t.Fatalf("status %v", st)
 		}
-	}); allocs > 3 {
-		t.Errorf("ScanV serve+encode allocs/op = %v, want <= 3 (constant, not per-pair)", allocs)
+	}); allocs > 4 {
+		t.Errorf("ScanK serve+encode allocs/op = %v, want <= 4 (one tree-page collector per shard, not per pair)", allocs)
 	}
 }
 

@@ -10,28 +10,30 @@ import (
 )
 
 // Per-opcode metric slots: slot 0 collects anything outside the known
-// opcode range (unknown ops, undecodable frames), slots 1..14 mirror the
-// wire opcodes. Arrays indexed by slot keep the hot-path record a bounds-
-// checked array access, no map lookups.
-const numOps = 15
+// opcodes (unknown or retired ops, undecodable frames), slots 1..6 mirror
+// wire opcodes 1..6 and slots 7..11 opcodes 10..14 (7-9 are retired).
+// Arrays indexed by slot keep the hot-path record a bounds-checked array
+// access, no map lookups.
+const numOps = 12
 
 func opSlot(op wire.Op) int {
-	if op >= wire.OpGet && op <= wire.OpTxn {
+	switch {
+	case op >= wire.OpGet && op <= wire.OpStats:
 		return int(op)
+	case op >= wire.OpGetK && op <= wire.OpTxn:
+		return int(op-wire.OpGetK) + 7
 	}
 	return 0
 }
 
 var opNames = [numOps]string{
-	"other", "Get", "Put", "Delete", "PutBatch",
-	"Scan", "Stats", "GetV", "PutV", "ScanV",
+	"other", "Get", "Put", "Delete", "PutBatch", "Scan", "Stats",
 	"GetK", "PutK", "DeleteK", "ScanK", "Txn",
 }
 
-// Op classes summarize latency for the wire Stats frame: read = Get/GetV/
-// GetK/Stats, write = Put/PutV/PutK/Delete/DeleteK/PutBatch, scan =
-// Scan/ScanV/ScanK. Slot 0 (unknown) counts as read — it never carries
-// store work.
+// Op classes summarize latency for the wire Stats frame: read = Get/GetK/
+// Stats, write = Put/PutK/Delete/DeleteK/PutBatch/Txn, scan = Scan/ScanK.
+// Slot 0 (unknown) counts as read — it never carries store work.
 const (
 	classRead = iota
 	classWrite
@@ -49,9 +51,6 @@ var opClasses = [numOps]int{
 	classWrite, // PutBatch
 	classScan,  // Scan
 	classRead,  // Stats
-	classRead,  // GetV
-	classWrite, // PutV
-	classScan,  // ScanV
 	classRead,  // GetK
 	classWrite, // PutK
 	classWrite, // DeleteK
@@ -66,8 +65,9 @@ var opClasses = [numOps]int{
 // and flush wait (response ready to write syscall), per-class
 // whole-request histograms backing the wire Stats latency summary, and
 // pipeline shape distributions (ingest batch size, flush size in bytes
-// and responses). The latency histograms observe a 1-in-latencySampleMask+1
-// sample of requests — see executeOne — unless SlowOpThreshold is set.
+// and responses). The latency histograms observe a random
+// 1-in-latencySampleMask+1 sample of requests — see executeOne — unless
+// SlowOpThreshold is set.
 type serverMetrics struct {
 	reqs [numOps]*metrics.Striped
 	errs [numOps]*metrics.Striped

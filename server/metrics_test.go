@@ -12,6 +12,7 @@ import (
 	"repro/client"
 	"repro/internal/metrics"
 	"repro/store"
+	"repro/wire"
 )
 
 // TestMetricsEndToEnd drives real traffic through a loopback server and
@@ -166,5 +167,31 @@ func TestMetricsHandler(t *testing.T) {
 	}
 	if _, err := metrics.LintText(rec.Body.Bytes()); err != nil {
 		t.Errorf("handler body does not lint: %v", err)
+	}
+}
+
+// TestStageSamplingPeriodicMix pins that stage-latency sampling does not
+// alias with a periodic request mix: a strictly alternating Put/Get stream
+// through one executor must leave each opcode's execute histogram holding
+// about its share of the sample. A shared 1-in-8 tick would clock every
+// Get and no Put.
+func TestStageSamplingPeriodicMix(t *testing.T) {
+	c, ss, keys := newServePath(t, 64)
+	const calls = 16384
+	put := wire.Request{ID: 1, Op: wire.OpPut}
+	get := wire.Request{ID: 2, Op: wire.OpGet}
+	var buf []byte
+	for i := 0; i < calls; i++ {
+		put.Key, put.Val = keys[i%len(keys)], uint64(i)
+		get.Key = keys[i%len(keys)]
+		buf, _ = serveEncode(c, ss, &put, buf)
+		buf, _ = serveEncode(c, ss, &get, buf)
+	}
+	for _, op := range []wire.Op{wire.OpPut, wire.OpGet} {
+		n := c.srv.met.exec[opSlot(op)].Snapshot().Count()
+		if n < calls/16 || n > calls/4 {
+			t.Errorf("%s execute histogram holds %d samples of %d calls, want within [%d, %d]",
+				op, n, calls, calls/16, calls/4)
+		}
 	}
 }

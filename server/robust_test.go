@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -143,7 +144,7 @@ func TestIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestNoSpaceOverWire: a server on a nearly-full store answers varlen
+// TestNoSpaceOverWire: a server on a nearly-full store answers byte-key
 // writes with StatusNoSpace (client.ErrNoSpace, not Retryable), while
 // reads, deletes, and fixed-width puts on the same connection keep working
 // — degradation, not death.
@@ -161,10 +162,11 @@ func TestNoSpaceOverWire(t *testing.T) {
 	for i := range val {
 		val[i] = byte(i)
 	}
+	key := func(k uint64) []byte { return binary.BigEndian.AppendUint64(nil, k) }
 	var full error
 	var lastOK uint64
 	for k := uint64(1); k <= 4096; k++ {
-		if err := c.PutBytes(k, val); err != nil {
+		if err := c.PutKV(key(k), val); err != nil {
 			full = err
 			break
 		}
@@ -181,12 +183,12 @@ func TestNoSpaceOverWire(t *testing.T) {
 	}
 
 	// Degraded, not dead: reads, deletes, and the connection all survive.
-	got, ok, err := c.GetBytes(lastOK)
+	got, ok, err := c.GetKV(key(lastOK))
 	if err != nil || !ok || len(got) != len(val) {
-		t.Fatalf("GetBytes(%d) on full store = (%d bytes, %v, %v)", lastOK, len(got), ok, err)
+		t.Fatalf("GetKV(%d) on full store = (%d bytes, %v, %v)", lastOK, len(got), ok, err)
 	}
-	if ok, err := c.Delete(lastOK); err != nil || !ok {
-		t.Fatalf("Delete on full store = (%v, %v)", ok, err)
+	if ok, err := c.DeleteKV(key(lastOK)); err != nil || !ok {
+		t.Fatalf("DeleteKV on full store = (%v, %v)", ok, err)
 	}
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("Stats on full store: %v", err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"repro/internal/metrics"
 	"repro/wire"
 )
 
@@ -86,11 +87,11 @@ func (s *Server) workerLoop(wid int, ring chan task) {
 	defer s.workerWG.Done()
 	ss := s.st.NewSession()
 	defer ss.Close()
-	var sctr uint32 // this worker's stage-latency sample counter
+	var smp metrics.Sampler // this worker's stage-latency sampler
 	for t := range ring {
 		c := t.c
 		for i := range t.reqs {
-			c.respCh <- c.executeOne(ss, &t.reqs[i], t.t0, wid, &sctr)
+			c.respCh <- c.executeOne(ss, &t.reqs[i], t.t0, wid, &smp)
 		}
 		c.steered.Add(-int64(len(t.reqs)))
 		s.putSlab(t.reqs)
@@ -108,7 +109,7 @@ func (s *Server) takeSlab() []wire.Request {
 }
 
 // putSlab recycles a drained slab. Requests can pin PutBatch pair slices
-// and PutV values, so the slab is cleared before pooling; a full pool just
+// and PutK keys and values, so the slab is cleared before pooling; a full pool just
 // drops the slab to the GC.
 func (s *Server) putSlab(slab []wire.Request) {
 	clear(slab)

@@ -24,9 +24,9 @@ import (
 //
 // The reclamation gate is shardGC.varMu, held shared by everyone who is
 // in a window where a log record matters without the tree fully saying so:
-// readers for their tree-word→log-bytes resolve, and PutBytes writers from
-// the log append to the tree install (the appended record is invisible to
-// GC's liveness until the install lands). The GC pass runs, per extent,
+// readers for their tree-word→log-bytes resolve, and byte-key writers from
+// the bucket append to the tree install (the appended record is invisible
+// to GC's liveness until the install lands). The GC pass runs, per extent,
 // relocation sweep → fence → catch-up sweep → fence → free, where each
 // fence is an exclusive acquire-and-release of varMu. Consider extent E:
 //
@@ -45,9 +45,9 @@ import (
 //     installed after that — each append's ref is installed exactly once,
 //     by its own writer, and those writers have drained.
 //
-// ScanBytes resolves refs collected before its per-record RLock, so it
+// ScanKV resolves refs collected before its per-bucket RLock, so it
 // additionally retries through the tree when a snapshot ref no longer
-// validates — see its implementation.
+// validates — see resolveKVBucket.
 //
 // Automatic passes piggyback on the writing session: when an overwrite or
 // delete tips a shard past Options.GCGarbageRatio (and one extent's worth
@@ -81,7 +81,7 @@ func (c *CompactStats) add(r vlog.GCResult) {
 }
 
 // CompactValues runs a full value-log GC pass on every shard, reclaiming
-// the space of overwritten and deleted varlen values, and reports the work
+// the space of overwritten and deleted byte-key buckets, and reports the work
 // done. It is safe to call concurrently with any other operation — readers
 // and writers on the same shards proceed during the pass (writers may
 // briefly serialise with a relocation's tree swap on a shared leaf) — and
@@ -149,6 +149,17 @@ func (ss *Session) compactShard(i, maxExtents int, wait bool) (vlog.GCResult, er
 	})
 	ss.s.met.recordGC(start, res.Relocated)
 	return res, err
+}
+
+// retireWord is the single funnel for garbage accounting: every operation
+// that displaces a tree word hands it here, and the value log decides —
+// by validating the word against the record it would name — whether it
+// was a bucket reference whose bytes just became garbage. Fixed-width
+// values fail the validation and change nothing, which is what makes
+// Put/Delete on fixed-width keys account consistently (nothing to
+// reclaim, nothing counted).
+func (ss *Session) retireWord(i int, key uint64, old uint64) bool {
+	return ss.s.shards[i].vl.MarkStale(ss.ths[i], key, vlog.Ref(old))
 }
 
 // maybeGC is the automatic trigger, called after an operation turned a

@@ -38,24 +38,24 @@ func gcCrashMatrix(t *testing.T, model pmem.MemModel) {
 	}
 	ss := st.NewSession()
 
-	// Spread records over several extents, then overwrite half the keys
-	// (and delete one) so head extents mix live and dead records.
+	// Spread bucket records over several extents, then overwrite half the
+	// keys (and delete one) so head extents mix live and dead records.
 	want := map[uint64][]byte{}
 	for k := uint64(1); k <= 12; k++ {
 		v := bval(k, 40+int(k)*3)
-		if err := ss.PutBytes(k, v); err != nil {
+		if err := ss.PutKV(k8(k), v); err != nil {
 			t.Fatal(err)
 		}
 		want[k] = v
 	}
 	for k := uint64(1); k <= 12; k += 2 {
 		v := bval(k^0xa5a5, 30+int(k)*5)
-		if err := ss.PutBytes(k, v); err != nil {
+		if err := ss.PutKV(k8(k), v); err != nil {
 			t.Fatal(err)
 		}
 		want[k] = v
 	}
-	if _, err := ss.DeleteBytes(4); err != nil {
+	if _, err := ss.DeleteKV(k8(4)); err != nil {
 		t.Fatal(err)
 	}
 	delete(want, 4)
@@ -84,7 +84,7 @@ func gcCrashMatrix(t *testing.T, model pmem.MemModel) {
 			}
 			rs := re.NewSession()
 			for k, v := range want {
-				got, ok, err := rs.GetBytes(k, nil)
+				got, ok, err := rs.GetKV(k8(k), nil)
 				if err != nil {
 					t.Fatalf("point %d mode %d: key %d resolves to a bad record: %v", point, mode, k, err)
 				}
@@ -95,12 +95,12 @@ func gcCrashMatrix(t *testing.T, model pmem.MemModel) {
 					t.Fatalf("point %d mode %d: key %d stale or torn content", point, mode, k)
 				}
 			}
-			if _, ok, err := rs.GetBytes(4, nil); ok || err != nil {
+			if _, ok, err := rs.GetKV(k8(4), nil); ok || err != nil {
 				t.Fatalf("point %d mode %d: deleted key resurrected: (%v, %v)", point, mode, ok, err)
 			}
 			// The recovered store keeps working, including further
 			// compaction from whatever state the crash left.
-			if err := rs.PutBytes(1000, []byte("post-crash")); err != nil {
+			if err := rs.PutKV(k8(1000), []byte("post-crash")); err != nil {
 				t.Fatalf("point %d mode %d: post-recovery write: %v", point, mode, err)
 			}
 			if _, err := rs.CompactValues(); err != nil {
@@ -143,7 +143,7 @@ func TestGCCrashCampaignRandomPoints(t *testing.T) {
 			for j := 0; j < n; j++ {
 				k := uint64(rng.Intn(40) + 1)
 				v := bval(k^uint64(j)<<16, rng.Intn(200))
-				if err := ss.PutBytes(k, v); err != nil {
+				if err := ss.PutKV(k8(k), v); err != nil {
 					t.Fatal(err)
 				}
 				want[k] = v
@@ -173,7 +173,7 @@ func TestGCCrashCampaignRandomPoints(t *testing.T) {
 		// overwrites may or may not have landed, but a key must resolve
 		// to SOME complete value it held, never a torn or alien one.
 		for k := range want {
-			got, ok, err := rs.GetBytes(k, nil)
+			got, ok, err := rs.GetKV(k8(k), nil)
 			if err != nil {
 				t.Fatalf("trial %d point %d: key %d: %v", trial, point, k, err)
 			}
@@ -226,7 +226,7 @@ func TestChurnSurvivesOnlyWithGC(t *testing.T) {
 		defer ss.Close()
 		for r := 0; r < rounds; r++ {
 			for k := uint64(1); k <= nKeys; k++ {
-				if err := ss.PutBytes(k, bval(k^uint64(r)<<20, valSize)); err != nil {
+				if err := ss.PutKV(k8(k), bval(k^uint64(r)<<20, valSize)); err != nil {
 					return st, fmt.Errorf("round %d key %d: %w", r, k, err)
 				}
 			}
@@ -245,7 +245,7 @@ func TestChurnSurvivesOnlyWithGC(t *testing.T) {
 	// Every key still reads its last value.
 	ss := st.NewSession()
 	for k := uint64(1); k <= nKeys; k++ {
-		got, ok, err := ss.GetBytes(k, nil)
+		got, ok, err := ss.GetKV(k8(k), nil)
 		if err != nil || !ok || !bytes.Equal(got, bval(k^uint64(rounds-1)<<20, valSize)) {
 			t.Fatalf("key %d after churn: ok=%v err=%v", k, ok, err)
 		}
@@ -263,7 +263,7 @@ func TestChurnSurvivesOnlyWithGC(t *testing.T) {
 
 // --- concurrency -----------------------------------------------------------
 
-// TestConcurrentGCAndVarlenOps races full compaction passes against
+// TestConcurrentGCAndKVOps races full compaction passes against byte-key
 // readers, writers and deleters on overlapping keys, under -race in CI.
 //
 // The safety argument under test (see store/gc.go): a GC pass frees an
@@ -274,7 +274,7 @@ func TestChurnSurvivesOnlyWithGC(t *testing.T) {
 // race a relocation or an overwrite (and legally observe either value of
 // that race) but can never observe freed, rezeroed, or recycled log space,
 // which is what the value self-check below would catch.
-func TestConcurrentGCAndVarlenOps(t *testing.T) {
+func TestConcurrentGCAndKVOps(t *testing.T) {
 	st, err := Open(Options{
 		Shards:         2,
 		ShardSize:      64 << 20,
@@ -338,17 +338,17 @@ func TestConcurrentGCAndVarlenOps(t *testing.T) {
 				k := uint64(rng.Intn(nKeys) + 1)
 				switch rng.Intn(10) {
 				case 0:
-					if _, err := ss.DeleteBytes(k); err != nil {
+					if _, err := ss.DeleteKV(k8(k)); err != nil {
 						errs <- fmt.Errorf("w%d delete %d: %w", w, k, err)
 						return
 					}
 				case 1, 2, 3:
-					if err := ss.PutBytes(k, mkVal(k, uint64(w)<<32|uint64(i))); err != nil {
+					if err := ss.PutKV(k8(k), mkVal(k, uint64(w)<<32|uint64(i))); err != nil {
 						errs <- fmt.Errorf("w%d put %d: %w", w, k, err)
 						return
 					}
 				default:
-					got, ok, err := ss.GetBytes(k, buf[:0])
+					got, ok, err := ss.GetKV(k8(k), buf[:0])
 					if err != nil {
 						errs <- fmt.Errorf("w%d get %d: %w", w, k, err)
 						return
@@ -382,11 +382,11 @@ func TestConcurrentGCAndVarlenOps(t *testing.T) {
 	}
 }
 
-// TestScanBytesDuringGC pages ScanBytes while a compactor relocates under
-// it: collected ref snapshots go stale mid-page and must be transparently
-// re-resolved (or skipped if deleted), never surfacing ErrNotVarlen or
-// corrupt reads for live keys.
-func TestScanBytesDuringGC(t *testing.T) {
+// TestScanKVDuringGC pages ScanKV while a compactor relocates under it:
+// collected bucket ref snapshots go stale mid-page and must be
+// transparently re-resolved (or skipped if deleted), never surfacing
+// ErrNotKeyed or corrupt reads for live keys.
+func TestScanKVDuringGC(t *testing.T) {
 	st, err := Open(Options{
 		Shards:         2,
 		ShardSize:      64 << 20,
@@ -401,7 +401,7 @@ func TestScanBytesDuringGC(t *testing.T) {
 	defer ss.Close()
 	const nKeys = 400
 	for k := uint64(1); k <= nKeys; k++ {
-		if err := ss.PutBytes(k, bval(k, 64)); err != nil {
+		if err := ss.PutKV(k8(k), bval(k, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -413,7 +413,7 @@ func TestScanBytesDuringGC(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for !stop.Load() {
 			k := uint64(rng.Intn(nKeys) + 1)
-			if err := cs.PutBytes(k, bval(k, 64)); err != nil {
+			if err := cs.PutKV(k8(k), bval(k, 64)); err != nil {
 				done <- err
 				return
 			}
@@ -426,15 +426,16 @@ func TestScanBytesDuringGC(t *testing.T) {
 	}()
 	for iter := 0; iter < 40; iter++ {
 		seen := 0
-		lo := uint64(0)
+		var lo []byte
 		for {
 			last := uint64(0)
 			n := 0
-			err := ss.ScanBytes(lo, nKeys, 64, func(k uint64, v []byte) bool {
+			err := ss.ScanKV(lo, k8(nKeys), 64, func(k, v []byte) bool {
+				key := binary.BigEndian.Uint64(k)
 				if len(v) != 64 {
-					t.Errorf("key %d: %d bytes mid-GC", k, len(v))
+					t.Errorf("key %d: %d bytes mid-GC", key, len(v))
 				}
-				last, n = k, n+1
+				last, n = key, n+1
 				return true
 			})
 			if err != nil {
@@ -446,7 +447,7 @@ func TestScanBytesDuringGC(t *testing.T) {
 			if n == 0 || last >= nKeys {
 				break
 			}
-			lo = last + 1
+			lo = append(k8(last), 0)
 		}
 		if seen < nKeys-1 { // a put+scan race may hide at most the in-flight key per page... be strict anyway
 			t.Fatalf("iter %d: scan saw %d of %d keys", iter, seen, nKeys)
@@ -460,12 +461,16 @@ func TestScanBytesDuringGC(t *testing.T) {
 
 // --- accounting ------------------------------------------------------------
 
-// TestDeleteAccountingUnified pins the satellite fix: every path that
-// displaces a tree word (Delete, DeleteBytes, Put, PutBytes, overwrite or
-// removal, fixed or varlen) feeds the same retireWord funnel, so reclaim
-// stats move exactly when a varlen record died and never otherwise.
+// TestDeleteAccountingUnified pins the single accounting funnel: every
+// path that displaces a tree word (Put, PutBatch, Delete, PutKV, DeleteKV,
+// overwrite or removal, of a fixed-width word or a bucket ref) feeds the
+// same retireWord funnel, so reclaim stats move exactly when a bucket
+// record died and never otherwise.
 func TestDeleteAccountingUnified(t *testing.T) {
-	st, err := Open(Options{Shards: 2, ShardSize: 16 << 20, GCGarbageRatio: -1})
+	// One shard: the cross-family clobbers below address a bucket's tree
+	// word through the fixed-width API, which must land on the bucket's
+	// shard.
+	st, err := Open(Options{Shards: 1, ShardSize: 16 << 20, GCGarbageRatio: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,8 +479,11 @@ func TestDeleteAccountingUnified(t *testing.T) {
 	defer ss.Close()
 
 	garbage := func() int64 { return st.ValueStats().Garbage }
+	// rec is the payload of a single-entry bucket holding an 8-byte key
+	// and an n-byte value.
+	rec := func(n int) int64 { return int64(kvEntryHdr + 8 + n) }
 
-	// Fixed-width keys: no varlen record is ever involved, so no path may
+	// Fixed-width keys: no bucket record is ever involved, so no path may
 	// move the reclaim stats.
 	if err := ss.Put(1, 100); err != nil {
 		t.Fatal(err)
@@ -483,76 +491,75 @@ func TestDeleteAccountingUnified(t *testing.T) {
 	if err := ss.Put(1, 200); err != nil { // fixed overwrite
 		t.Fatal(err)
 	}
-	if ok, err := ss.DeleteBytes(1); !ok || err != nil {
-		t.Fatalf("DeleteBytes on fixed key: (%v, %v)", ok, err)
-	}
-	if err := ss.Put(2, 300); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := ss.Delete(2); !ok || err != nil {
+	if ok, err := ss.Delete(1); !ok || err != nil {
 		t.Fatalf("Delete on fixed key: (%v, %v)", ok, err)
 	}
 	if g := garbage(); g != 0 {
 		t.Fatalf("fixed-width ops produced %d garbage bytes", g)
 	}
 
-	// Varlen overwrite and delete: exactly the dead payload is counted.
-	if err := ss.PutBytes(10, make([]byte, 100)); err != nil {
+	// Byte-key overwrite and delete: exactly the dead payload is counted.
+	if err := ss.PutKV(k8(10), make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.PutBytes(10, make([]byte, 50)); err != nil {
+	if err := ss.PutKV(k8(10), make([]byte, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if g := garbage(); g != 100 {
-		t.Fatalf("after varlen overwrite: garbage %d, want 100", g)
+	want := rec(100)
+	if g := garbage(); g != want {
+		t.Fatalf("after byte-key overwrite: garbage %d, want %d", g, want)
 	}
-	if ok, err := ss.DeleteBytes(10); !ok || err != nil {
+	if ok, err := ss.DeleteKV(k8(10)); !ok || err != nil {
 		t.Fatal(err)
 	}
-	if g := garbage(); g != 150 {
-		t.Fatalf("after varlen delete: garbage %d, want 150", g)
+	want += rec(50)
+	if g := garbage(); g != want {
+		t.Fatalf("after byte-key delete: garbage %d, want %d", g, want)
 	}
 
-	// Delete (the fixed-named API) on a varlen key counts identically —
-	// the funnel cannot be bypassed.
-	if err := ss.PutBytes(11, make([]byte, 70)); err != nil {
+	// Delete (the fixed-width API) on a bucket's prefix counts
+	// identically — the funnel cannot be bypassed.
+	if err := ss.PutKV(k8(11), make([]byte, 70)); err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := ss.Delete(11); !ok || err != nil {
 		t.Fatal(err)
 	}
-	if g := garbage(); g != 220 {
-		t.Fatalf("Delete on varlen key: garbage %d, want 220", g)
+	want += rec(70)
+	if g := garbage(); g != want {
+		t.Fatalf("Delete on bucket prefix: garbage %d, want %d", g, want)
 	}
 
-	// A fixed Put clobbering a varlen key retires the record too.
-	if err := ss.PutBytes(12, make([]byte, 30)); err != nil {
+	// A fixed Put clobbering a bucket retires the record too.
+	if err := ss.PutKV(k8(12), make([]byte, 30)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ss.Put(12, 42); err != nil {
 		t.Fatal(err)
 	}
-	if g := garbage(); g != 250 {
-		t.Fatalf("fixed Put over varlen key: garbage %d, want 250", g)
+	want += rec(30)
+	if g := garbage(); g != want {
+		t.Fatalf("fixed Put over bucket: garbage %d, want %d", g, want)
 	}
 
 	// Deleting that (now fixed) key adds nothing further.
 	if ok, err := ss.Delete(12); !ok || err != nil {
 		t.Fatal(err)
 	}
-	if g := garbage(); g != 250 {
-		t.Fatalf("delete of fixed word moved stats: garbage %d, want 250", g)
+	if g := garbage(); g != want {
+		t.Fatalf("delete of fixed word moved stats: garbage %d, want %d", g, want)
 	}
 
-	// PutBatch clobbering a varlen key goes through the same funnel.
-	if err := ss.PutBytes(13, make([]byte, 40)); err != nil {
+	// PutBatch clobbering a bucket goes through the same funnel.
+	if err := ss.PutKV(k8(13), make([]byte, 40)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ss.PutBatch([]KV{{Key: 13, Val: 1}, {Key: 14, Val: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if g := garbage(); g != 290 {
-		t.Fatalf("PutBatch over varlen key: garbage %d, want 290", g)
+	want += rec(40)
+	if g := garbage(); g != want {
+		t.Fatalf("PutBatch over bucket: garbage %d, want %d", g, want)
 	}
 }
 
@@ -566,12 +573,12 @@ func TestReopenRecomputesAccounting(t *testing.T) {
 	}
 	ss := st.NewSession()
 	for k := uint64(1); k <= 50; k++ {
-		if err := ss.PutBytes(k, bval(k, 100)); err != nil {
+		if err := ss.PutKV(k8(k), bval(k, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := uint64(1); k <= 50; k += 2 { // overwrite half
-		if err := ss.PutBytes(k, bval(k^7, 100)); err != nil {
+		if err := ss.PutKV(k8(k), bval(k^7, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,45 +13,43 @@ import (
 
 // The byte-string key API. The FAST+FAIR slot stays one 8-byte word — the
 // paper's whole endurable-transient-inconsistency argument rests on every
-// in-node write being a single failure-atomic store — so variable-length
-// keys cannot live in the node. Instead the tree orders an 8-byte *prefix*
-// of the key (big-endian, zero-padded; see PackPrefix) and the full key
-// bytes live in the shard's value log, exactly where varlen values already
-// live: each occupied prefix owns one keyed log record (its "bucket") whose
-// payload is the sorted list of every (full key, value) pair in this shard
-// sharing that prefix. Prefix ties — distinct keys with equal first 8
+// in-node write being a single failure-atomic store — so neither
+// variable-length keys nor variable-length values can live in the node.
+// Instead each shard pairs its tree with a persistent append-only value log
+// (internal/vlog), and the tree orders an 8-byte *prefix* of the key
+// (big-endian, zero-padded; see PackPrefix): each occupied prefix owns one
+// keyed log record (its "bucket") whose payload is the sorted list of every
+// (full key, value) pair in this shard sharing that prefix, and the tree
+// word is the bucket's Ref. Prefix ties — distinct keys with equal first 8
 // bytes — therefore resolve by comparing full key bytes through the log,
-// under the same reclamation read-lock every varlen resolution takes.
+// under the shard's reclamation read-lock (see gc.go).
 //
 // PackPrefix is order-consistent with lexicographic byte order:
 // prefix(x) < prefix(y) implies x < y, so the tree's prefix order IS the
 // key order up to ties, and ties are confined to a single bucket. Scans
 // walk the tree by prefix and merge bucket entries by full key.
 //
-// Crash atomicity is PutBytes' argument verbatim, because a bucket is an
-// ordinary keyed record: the new bucket image (old entries plus the upsert)
-// is fully durable — record flush, fence, tail publish — before its Ref
-// exists anywhere, and the tree install of that Ref is one atomic 8-byte
-// store. A crash mid-PutKV leaves either the old bucket (new record
-// unreachable; leaked until GC or truncated by Reopen) or the new one —
-// never a torn key or value behind a live prefix. GC relocation and
-// Reopen's accounting rebuild need no new code: every live bucket is named
-// directly by a tree word, which is all their Live/Swap callbacks and
-// IsRecord walks assume.
+// Crash atomicity composes from the two layers' own guarantees: the new
+// bucket image (old entries plus the upsert) is fully durable — record
+// flush, fence, tail publish — before its Ref exists anywhere, and the tree
+// install of that Ref is the paper's single atomic 8-byte store. A crash
+// mid-PutKV leaves either the old bucket (new record unreachable; leaked
+// until GC or truncated by Reopen) or the new one — never a torn key or
+// value behind a live prefix. Every live bucket is named directly by a tree
+// word, which is all GC relocation and Reopen's accounting rebuild assume.
 //
-// Buckets and the uint64 APIs share each shard's tree and log, so the
-// prefix keyspace must be disjoint from any fixed/varlen uint64 keys: a
-// bucket read of a word written by Put/PutBytes fails record or bucket
-// validation and reports ErrNotKeyed (the byte-key analogue of
-// ErrNotVarlen). Keep the two key universes apart per store.
+// Buckets and the fixed-width uint64 API share each shard's tree, so the
+// prefix keyspace must be disjoint from any fixed-width keys: a bucket read
+// of a word written by Put fails record or bucket validation and reports
+// ErrNotKeyed. Keep the two key universes apart per store.
 
 const (
 	// MaxKey is the largest key PutKV accepts, equal to wire.MaxKey
 	// (asserted by a server test) so every stored key travels the
 	// protocol.
 	MaxKey = 1024
-	// MaxKVValue is the largest value PutKV accepts. It is MaxValue less
-	// the key headroom: a ScanKV response frame must fit one entry's key,
+	// MaxKVValue is the largest value PutKV accepts, equal to
+	// wire.MaxKValue: a ScanKV response frame must fit one entry's key,
 	// value, and per-entry header inside wire.MaxFrame.
 	MaxKVValue = 1<<20 - 2048
 	// maxBucket bounds one bucket's encoded payload (vlog.MaxValue). At
@@ -62,6 +60,8 @@ const (
 	// kvEntryHdr is the per-entry header inside a bucket: klen u16,
 	// vlen u32, little-endian.
 	kvEntryHdr = 6
+	// maxScanPage bounds one ScanKV page when the caller passes no max.
+	maxScanPage = 65536
 )
 
 // Errors of the byte-key API.
@@ -73,8 +73,20 @@ var (
 	ErrKeyTooLarge = errors.New("store: key exceeds MaxKey")
 	// ErrNotKeyed reports a byte-key operation that resolved a tree word
 	// not holding a KV bucket — a prefix colliding with a key written
-	// through the fixed-width or varlen uint64 APIs.
+	// through the fixed-width uint64 API.
 	ErrNotKeyed = errors.New("store: prefix does not hold a byte-key bucket")
+	// ErrValueTooLarge reports a PutKV value above MaxKVValue.
+	ErrValueTooLarge = errors.New("store: value exceeds MaxKVValue")
+	// ErrValueCorrupt reports a value-log record that failed its
+	// checksum: the prefix's reference was valid but the image is
+	// damaged. Unlike ErrNotKeyed this is data loss, not API misuse.
+	ErrValueCorrupt = errors.New("store: value failed its checksum")
+	// ErrNoSpace reports a write refused because the shard's pool can no
+	// longer guarantee value-log space with GC headroom intact. The store
+	// degrades, it does not die: reads, deletes, and compaction keep
+	// working, and the condition clears once GC (triggered by deletes and
+	// overwrites, or an explicit CompactValues) frees extents.
+	ErrNoSpace = errors.New("store: value log out of space")
 	// ErrBucketOverflow reports a PutKV refused because the rewritten
 	// prefix bucket would exceed the value log's record bound — only
 	// reachable by deliberately aiming many large entries at one 8-byte
@@ -128,9 +140,9 @@ func checkKey(key []byte) error {
 	return nil
 }
 
-// wrapKVReadErr classifies a bucket resolution failure like wrapReadErr
-// does for varlen values: checksum failures are corruption, everything
-// else is a prefix whose word was never a bucket.
+// wrapKVReadErr classifies a bucket resolution failure: checksum failures
+// are corruption, everything else is a prefix whose word was never a
+// bucket.
 func wrapKVReadErr(prefix uint64, err error) error {
 	if errors.Is(err, vlog.ErrCorrupt) {
 		return fmt.Errorf("%w (prefix %#x): %v", ErrValueCorrupt, prefix, err)
@@ -254,11 +266,22 @@ func bucketGet(bucket []byte, prefix uint64, key, dst []byte) (out []byte, found
 }
 
 // readBucket resolves prefix's current bucket through shard i's tree. The
-// caller must hold the shard's reclamation read-lock. Like readCurrent it
-// retries on validation failure with a re-read of the tree word — a
-// collected or racing snapshot may predate a GC relocation or a delete —
-// and only a word that fails validation AND re-reads unchanged classifies
-// as ErrNotKeyed/ErrValueCorrupt. The returned payload lives in ss.kvBuf.
+// caller must hold the shard's reclamation read-lock, which pins every
+// record the tree currently names: GC cannot complete its pre-free fence
+// while we are inside it.
+//
+// One subtlety forces the retry loop: the tree's lock-free read protocol
+// lets a reader racing a removal observe the pre-delete value word (value
+// boxes are never recycled, so that word is stable — but the log record it
+// names stopped being referenced the moment the delete committed, and an
+// already-running GC pass may have reclaimed it, reader lock
+// notwithstanding: the lock only protects records the tree still names).
+// A collected scan snapshot may likewise predate a GC relocation. Such a
+// dangling ref fails the record validation (owner key, header, checksum);
+// re-reading the tree then either shows the prefix gone (report absent) or
+// a fresh word (resolve that instead). Only a word that fails validation
+// AND re-reads unchanged classifies as ErrNotKeyed/ErrValueCorrupt. The
+// returned payload lives in ss.kvBuf.
 func (ss *Session) readBucket(i int, prefix uint64, word uint64, haveWord bool) ([]byte, bool, error) {
 	sh := &ss.s.shards[i]
 	th := ss.ths[i]
@@ -285,14 +308,22 @@ func (ss *Session) readBucket(i int, prefix uint64, word uint64, haveWord bool) 
 
 // admitKV runs space admission for a bucket rewrite of projected payload
 // size need (the caller's advisory estimate: current bucket image plus the
-// new entry). Falls back to one inline compaction pass before refusing,
-// like PutBytes.
+// new entry). When the shard's pool can no longer hold the append plus an
+// extent of GC headroom it tries one inline compaction pass and, if that
+// does not clear the shortfall, fails fast with ErrNoSpace — before the log
+// is grown into the last free bytes GC would need to stage relocations.
+// The slow path is paid only by writers already out of space, and only
+// when automatic compaction is enabled; with GCGarbageRatio < 0 the
+// operator asked for manual-only GC, so admission refuses immediately and
+// CompactValues is the way out.
 func (ss *Session) admitKV(i, need int) error {
 	sh := &ss.s.shards[i]
 	if sh.vl.Admit(need) == nil {
 		return nil
 	}
 	if ss.s.opts.GCGarbageRatio >= 0 {
+		// A full pass (wait=true queues behind any running one, so its
+		// frees count too), then one re-check.
 		_, _ = ss.compactShard(i, 0, true)
 	}
 	if aerr := sh.vl.Admit(need); aerr != nil {
@@ -302,9 +333,11 @@ func (ss *Session) admitKV(i, need int) error {
 }
 
 // PutKV stores val under a byte-string key of 1..MaxKey bytes, replacing
-// any existing value. Durability and crash atomicity match PutBytes: the
+// any existing value. The value is durable when PutKV returns: the
 // rewritten bucket record is fully durable before the tree install, and
 // the install is one atomic 8-byte store (see the package comment above).
+// An overwrite retires the old bucket's bytes to the shard's garbage
+// accounting and may run an automatic GC pass (Options.GCGarbageRatio).
 // Byte-key writers to the same shard serialize on a per-shard mutex — the
 // bucket rewrite is a read-modify-write — while readers, uint64-API
 // writers, and other shards proceed concurrently. On a closed store it
@@ -571,9 +604,11 @@ const (
 	kvScanRetainSpans = 4096
 )
 
-// kvBucketPage is the tree-scan page while collecting bucket refs: refs
-// are collected outside the reclamation lock in pages, then resolved
-// under it, so huge prefix ranges never pin a lock across a full walk.
+// kvBucketPage is the largest tree-scan page while collecting bucket
+// refs: refs are collected outside the reclamation lock in pages, then
+// resolved under it, so huge prefix ranges never pin a lock across a full
+// walk. A page never asks for more buckets than the run still needs
+// entries, so a small scan resolves (and buffers) a small page.
 const kvBucketPage = 512
 
 // collectKVRun fills shard i's run with up to max entries in [lo, hi]
@@ -583,10 +618,11 @@ func (ss *Session) collectKVRun(i int, run *kvRun, lo, hi []byte, plo, phi uint6
 	th := ss.ths[i]
 	next := plo
 	for len(run.spans) < max {
+		page := min(kvBucketPage, max-len(run.spans))
 		ss.kvRefs = ss.kvRefs[:0]
 		sh.ix.Scan(th, next, phi, func(k, v uint64) bool {
 			ss.kvRefs = append(ss.kvRefs, KV{k, v})
-			return len(ss.kvRefs) < kvBucketPage
+			return len(ss.kvRefs) < page
 		})
 		if len(ss.kvRefs) == 0 {
 			return nil
@@ -596,7 +632,7 @@ func (ss *Session) collectKVRun(i int, run *kvRun, lo, hi []byte, plo, phi uint6
 				return err
 			}
 		}
-		if len(ss.kvRefs) < kvBucketPage {
+		if len(ss.kvRefs) < page {
 			return nil
 		}
 		last := ss.kvRefs[len(ss.kvRefs)-1].Key
@@ -610,9 +646,10 @@ func (ss *Session) collectKVRun(i int, run *kvRun, lo, hi []byte, plo, phi uint6
 
 // resolveKVBucket resolves one collected (prefix, word) pair under the
 // shard's reclamation read-lock and appends its in-range entries to run.
-// Like resolveScanRef, a stale snapshot (concurrent GC relocation or
-// delete) transparently re-resolves through the tree; a prefix deleted
-// mid-scan is skipped.
+// A collected ref is a snapshot: GC may have relocated and freed the record
+// since the tree page was read, so a snapshot that fails validation
+// re-resolves through the tree under the same lock — GC cannot complete a
+// free while we hold it — and a prefix deleted mid-scan is skipped.
 func (ss *Session) resolveKVBucket(i int, prefix, word uint64, run *kvRun, lo, hi []byte) error {
 	sh := &ss.s.shards[i]
 	sh.gc.varMu.RLock()

@@ -9,15 +9,29 @@ import (
 	"repro/internal/pmem"
 )
 
-// Crash-consistency matrix for the byte-key write path, extending the
-// TestCrashEveryPointOfOnePutBytes pattern: tape one PutKV into a bucket
-// that already holds prefix-colliding keys, then for EVERY persist point
-// on the tape and every crash mode reopen the image and check the
-// failure-atomicity contract — committed keys byte-exact, the in-flight
-// key either fully absent or fully present (never torn, never an error),
-// and its bucket's pre-existing colliders intact either way.
+// Crash-consistency matrix for the byte-key write path: tape one PutKV,
+// then for EVERY persist point on the tape and every crash mode reopen the
+// image and check the failure-atomicity contract — committed keys
+// byte-exact, the in-flight key either fully absent or fully present
+// (never torn, never an error), and its bucket's pre-existing colliders
+// intact either way. The tape is taken twice, once per install path: a key
+// joining a bucket that already holds prefix-colliding keys (the bucket
+// rewrite plus ReplaceIf of the tree word) and a key with a fresh prefix
+// (a single-entry bucket plus a tree insert).
 
 func kvPutCrashMatrix(t *testing.T, model pmem.MemModel) {
+	for _, tc := range []struct {
+		name  string
+		inKey string
+	}{
+		{"collidingBucket", "crashkey-target"},
+		{"freshPrefix", "zz-fresh-prefix"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { kvPutCrashTape(t, model, []byte(tc.inKey)) })
+	}
+}
+
+func kvPutCrashTape(t *testing.T, model pmem.MemModel, inKey []byte) {
 	rng := rand.New(rand.NewSource(77))
 	st, err := Open(Options{
 		Shards:    1,
@@ -37,8 +51,8 @@ func kvPutCrashMatrix(t *testing.T, model pmem.MemModel) {
 		}
 		committed[k] = v
 	}
-	// Background population, including two keys sharing the in-flight
-	// key's 8-byte prefix (same bucket: the PutKV below rewrites the
+	// Background population, including two keys sharing the colliding
+	// in-flight key's 8-byte prefix (same bucket: that PutKV rewrites the
 	// record THEY live in) and an empty-adjacent pair.
 	for i := 0; i < 20; i++ {
 		commit(fmt.Sprintf("bg-%04d", i), i*13%300)
@@ -50,8 +64,8 @@ func kvPutCrashMatrix(t *testing.T, model pmem.MemModel) {
 
 	pool := st.Pool(0)
 	pool.StartCrashLog()
-	inKey := []byte("crashkey-target")
 	inVal := bytes.Repeat([]byte{0xc7}, 200)
+	after := append(append([]byte(nil), inKey[:8]...), "-after"...)
 	if err := ss.PutKV(inKey, inVal); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +102,7 @@ func kvPutCrashMatrix(t *testing.T, model pmem.MemModel) {
 			}
 			// The store must stay writable after recovery, including into
 			// the bucket the crash interrupted.
-			if err := rs.PutKV([]byte("crashkey-after"), []byte("recovered")); err != nil {
+			if err := rs.PutKV(after, []byte("recovered")); err != nil {
 				t.Fatalf("point %d mode %d: post-recovery write: %v", point, mode, err)
 			}
 			rs.Close()
@@ -198,5 +212,115 @@ func TestKVCrashRandomCampaign(t *testing.T) {
 				st.Close()
 			}
 		})
+	}
+}
+
+// TestCrashMidPutKV crashes one shard of four at a random point inside a
+// window of PutKV traffic — regularly mid-append or between the log publish
+// and the tree install — and Reopens the store from the images. Committed
+// values survive byte-exact, the in-flight era is all-or-nothing per key
+// (no torn value is ever visible), only the crashed shard may lose window
+// keys, and the recovered store keeps serving both key families.
+func TestCrashMidPutKV(t *testing.T) {
+	for trial := 0; trial < 5; trial++ {
+		rng := rand.New(rand.NewSource(int64(500 + trial)))
+		st, err := Open(Options{
+			Shards:    4,
+			ShardSize: 32 << 20,
+			Mem:       pmem.Config{TrackCrashes: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := st.NewSession()
+
+		committed := map[uint64][]byte{}
+		for i := 0; i < 800; i++ {
+			k := rng.Uint64()%100000 + 1
+			v := bval(k, rng.Intn(500))
+			if err := ss.PutKV(k8(k), v); err != nil {
+				t.Fatal(err)
+			}
+			committed[k] = v
+		}
+
+		for i := 0; i < st.NumShards(); i++ {
+			st.Pool(i).StartCrashLog()
+		}
+
+		// Each window key is written once: a key written twice could
+		// legally crash back to its first window value.
+		victim := trial % st.NumShards()
+		window := map[uint64][]byte{}
+		for len(window) < 300 {
+			k := rng.Uint64()%100000 + 200000
+			if _, dup := window[k]; dup {
+				continue
+			}
+			v := bval(k, rng.Intn(500))
+			if err := ss.PutKV(k8(k), v); err != nil {
+				t.Fatal(err)
+			}
+			window[k] = v
+		}
+		images := make([]*pmem.Pool, st.NumShards())
+		for i := 0; i < st.NumShards(); i++ {
+			pool := st.Pool(i)
+			point := pool.LogLen()
+			if i == victim {
+				point = rng.Intn(pool.LogLen() + 1)
+			}
+			images[i] = pool.CrashImage(point, pmem.CrashRandom, rng)
+		}
+		ss.Close()
+		st.Close()
+
+		re, err := Reopen(images, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := re.CheckInvariants(); err != nil {
+			t.Fatalf("trial %d: post-recovery invariants: %v", trial, err)
+		}
+		rs := re.NewSession()
+
+		var buf []byte
+		for k, v := range committed {
+			got, ok, err := rs.GetKV(k8(k), buf[:0])
+			if err != nil || !ok || !bytes.Equal(got, v) {
+				t.Fatalf("trial %d: lost committed key %d: (%v, %v)", trial, k, ok, err)
+			}
+			buf = got
+		}
+		survived, lost := 0, 0
+		for k, v := range window {
+			got, ok, err := rs.GetKV(k8(k), buf[:0])
+			shard := re.ShardForKey(k8(k))
+			switch {
+			case err == nil && ok && bytes.Equal(got, v):
+				survived++
+			case err == nil && !ok && shard == victim:
+				lost++ // atomic loss of an in-flight write: legal
+			case err == nil && !ok:
+				t.Fatalf("trial %d: shard %d lost key %d but only shard %d crashed mid-tape",
+					trial, shard, k, victim)
+			default:
+				t.Fatalf("trial %d: TORN value at key %d: ok=%v err=%v", trial, k, ok, err)
+			}
+			buf = got
+		}
+		t.Logf("trial %d: victim shard %d; window: %d survived, %d atomically lost",
+			trial, victim, survived, lost)
+
+		// The recovered store serves both key families and accepts new
+		// writes.
+		if err := rs.PutKV(k8(777), []byte("post-crash value")); err != nil {
+			t.Fatalf("trial %d: post-recovery PutKV: %v", trial, err)
+		}
+		if err := rs.Put(1<<45, 42); err != nil {
+			t.Fatalf("trial %d: post-recovery Put: %v", trial, err)
+		}
+		rs.Close()
+		re.Close()
 	}
 }

@@ -2,12 +2,27 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/pmem"
 )
+
+// k8 returns the 8-byte big-endian byte key whose prefix is k, so the
+// uint64-numbered keys of the value-log tests map one-to-one onto
+// single-entry buckets.
+func k8(k uint64) []byte { return binary.BigEndian.AppendUint64(nil, k) }
+
+// bval is a deterministic value of n bytes derived from k.
+func bval(k uint64, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(k>>uint(8*(i%8))) ^ byte(i)
+	}
+	return b
+}
 
 func kvTestStore(t *testing.T, opts Options) (*Store, *Session) {
 	t.Helper()
@@ -153,17 +168,15 @@ func TestKVLimitsAndErrors(t *testing.T) {
 	if v, ok, err := ss.GetKV([]byte("empty"), nil); err != nil || !ok || len(v) != 0 {
 		t.Fatalf("empty value get: %q %v %v", v, ok, err)
 	}
-	// A prefix written through the uint64 varlen API reads as ErrNotKeyed.
+	// A prefix written through the fixed-width API reads as ErrNotKeyed,
+	// not as a misparsed bucket. (One shard, so ShardFor and ShardForKey
+	// agree and the lookup must hit the foreign word.)
 	p := PackPrefix([]byte("mixed!!!"))
-	if err := ss.PutBytes(p, []byte("not a bucket")); err != nil {
-		t.Fatalf("PutBytes: %v", err)
+	if err := ss.Put(p, 12345); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
-	// ShardForKey and ShardFor may disagree; find a key whose shard holds p.
-	if _, _, err := ss.GetKV([]byte("mixed!!!"), nil); err == nil {
-		// Single shard: the lookup must hit the foreign record.
-		t.Fatalf("GetKV on uint64-API prefix succeeded")
-	} else if !errors.Is(err, ErrNotKeyed) {
-		t.Fatalf("GetKV on uint64-API prefix: %v", err)
+	if _, _, err := ss.GetKV([]byte("mixed!!!"), nil); !errors.Is(err, ErrNotKeyed) {
+		t.Fatalf("GetKV on fixed-width prefix: %v, want ErrNotKeyed", err)
 	}
 }
 
@@ -301,8 +314,8 @@ func TestKVReopen(t *testing.T) {
 }
 
 func TestKVGCPreservesBuckets(t *testing.T) {
-	// Churn varlen bytes plus KV entries so GC relocates bucket records,
-	// then verify every KV entry survives byte-exact.
+	// Churn overwrites next to colliding entries so GC relocates bucket
+	// records, then verify every KV entry survives byte-exact.
 	_, ss := kvTestStore(t, Options{Shards: 1, ShardSize: 8 << 20, ValueLogExtent: 16 << 10})
 	keys := map[string][]byte{}
 	for i := 0; i < 40; i++ {
@@ -367,5 +380,47 @@ func TestKVCrashSmoke(t *testing.T) {
 	v, ok, err := ss2.GetKV([]byte("crash-key"), nil)
 	if err != nil || !ok || string(v) != "crash-val" {
 		t.Fatalf("after crash: %q %v %v", v, ok, err)
+	}
+}
+
+// TestKVConcurrentSessions drives byte-key puts/gets from several
+// goroutines (one Session each) to exercise the per-shard writer mutex and
+// the log append against the lock-free readers under the race detector.
+func TestKVConcurrentSessions(t *testing.T) {
+	st, err := Open(Options{Shards: 4, ShardSize: 32 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const goroutines = 4
+	const perG = 300
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			ss := st.NewSession()
+			defer ss.Close()
+			base := uint64(g) << 32
+			var buf []byte
+			for i := uint64(1); i <= perG; i++ {
+				k := base | i
+				v := bval(k, int(i%250))
+				if err := ss.PutKV(k8(k), v); err != nil {
+					errs <- err
+					return
+				}
+				got, ok, err := ss.GetKV(k8(k), buf[:0])
+				if err != nil || !ok || !bytes.Equal(got, v) {
+					errs <- fmt.Errorf("g%d key %d: ok=%v err=%v", g, k, ok, err)
+					return
+				}
+				buf = got
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

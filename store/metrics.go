@@ -6,20 +6,19 @@ import (
 	"repro/internal/metrics"
 )
 
-// opSampleMask sets the per-session latency sampling rate to one in
-// (mask+1) operations; must be a power of two minus one. Tests set it to
-// 0 to clock every operation. GC pass histograms are never sampled.
+// opSampleMask sets the per-session latency sampling probability to one
+// in (mask+1) operations; must be a power of two minus one. Tests set it
+// to 0 to clock every operation. GC pass histograms are never sampled.
 var opSampleMask uint32 = 7
 
 // storeMetrics is the store's always-on instrumentation: one latency
-// histogram per session operation (recorded with two clock reads around
-// one in every opSampleMask+1 calls — lock-free, allocation-free; see
-// Session.sampleOp) and the GC pass distributions. Counters for the
-// value log and the pmem layer are not duplicated here; RegisterMetrics
-// exposes the existing accounting read-function-backed.
+// histogram per session operation (recorded with two clock reads around a
+// random one-in-opSampleMask+1 sample of calls — lock-free,
+// allocation-free; see Session.sampleOp) and the GC pass distributions.
+// Counters for the value log and the pmem layer are not duplicated here;
+// RegisterMetrics exposes the existing accounting read-function-backed.
 type storeMetrics struct {
 	get, put, del, putBatch, scan *metrics.Histogram
-	getBytes, putBytes, scanBytes *metrics.Histogram
 	getKV, putKV, delKV, scanKV   *metrics.Histogram
 	txnCommit                     *metrics.Histogram
 
@@ -37,9 +36,6 @@ func newStoreMetrics() *storeMetrics {
 		del:         metrics.NewHistogram(),
 		putBatch:    metrics.NewHistogram(),
 		scan:        metrics.NewHistogram(),
-		getBytes:    metrics.NewHistogram(),
-		putBytes:    metrics.NewHistogram(),
-		scanBytes:   metrics.NewHistogram(),
 		getKV:       metrics.NewHistogram(),
 		putKV:       metrics.NewHistogram(),
 		delKV:       metrics.NewHistogram(),
@@ -62,8 +58,6 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 	}{
 		{"Get", m.get}, {"Put", m.put}, {"Delete", m.del},
 		{"PutBatch", m.putBatch}, {"Scan", m.scan},
-		{"GetBytes", m.getBytes}, {"PutBytes", m.putBytes},
-		{"ScanBytes", m.scanBytes},
 		{"GetKV", m.getKV}, {"PutKV", m.putKV},
 		{"DeleteKV", m.delKV}, {"ScanKV", m.scanKV},
 		{"TxnCommit", m.txnCommit},

@@ -9,7 +9,7 @@ import (
 )
 
 // TestStoreMetrics checks that the per-operation histograms observe real
-// traffic (including the varlen path and a GC pass) and that the
+// traffic (including the byte-key path and a GC pass) and that the
 // registered families render and lint.
 func TestStoreMetrics(t *testing.T) {
 	// Clock every operation so the count assertions below are exact;
@@ -40,14 +40,19 @@ func TestStoreMetrics(t *testing.T) {
 	if _, err := ss.ScanLimit(0, ^uint64(0), 50); err != nil {
 		t.Fatal(err)
 	}
+	for i := uint64(0); i < n; i++ {
+		if _, err := ss.Delete(i); err != nil {
+			t.Fatal(err)
+		}
+	}
 	val := bytes.Repeat([]byte("v"), 512)
 	for i := uint64(1000); i < 1000+n; i++ {
-		if err := ss.PutBytes(i, val); err != nil {
+		if err := ss.PutKV(k8(i), val); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := uint64(1000); i < 1000+n; i++ {
-		if _, err := ss.Delete(i); err != nil {
+		if _, err := ss.DeleteKV(k8(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +70,8 @@ func TestStoreMetrics(t *testing.T) {
 		{"put", m.put, n},
 		{"delete", m.del, n},
 		{"scan", m.scan, 1},
-		{"putBytes", m.putBytes, n},
+		{"putKV", m.putKV, n},
+		{"deleteKV", m.delKV, n},
 		{"gcPause", m.gcPause, 1},
 	}
 	for _, c := range checks {
@@ -94,5 +100,38 @@ func TestStoreMetrics(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `pmkv_store_op_seconds_count{op="Get"}`) {
 		t.Error("per-op Get series missing")
+	}
+}
+
+// TestSampleOpPeriodicMix pins that latency sampling does not alias with a
+// periodic op mix: a strictly alternating Put/Get stream must leave each
+// op's histogram holding about its share of the sample. A shared 1-in-8
+// tick would clock every Get and no Put.
+func TestSampleOpPeriodicMix(t *testing.T) {
+	st, err := Open(Options{Shards: 1, ShardSize: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ss := st.NewSession()
+	defer ss.Close()
+
+	const calls = 16384
+	for i := uint64(0); i < calls; i++ {
+		if err := ss.Put(i%64, i); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ss.Get(i % 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		h    *metrics.Histogram
+	}{{"Put", st.met.put}, {"Get", st.met.get}} {
+		if n := c.h.Snapshot().Count(); n < calls/16 || n > calls/4 {
+			t.Errorf("%s histogram holds %d samples of %d calls, want within [%d, %d]",
+				c.name, n, calls, calls/16, calls/4)
+		}
 	}
 }

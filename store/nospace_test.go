@@ -29,7 +29,7 @@ func TestNoSpaceDegradesGracefully(t *testing.T) {
 	var full error
 	var written []uint64
 	for k := uint64(1); k <= 4096; k++ {
-		if err := ss.PutBytes(k, val); err != nil {
+		if err := ss.PutKV(k8(k), val); err != nil {
 			full = err
 			break
 		}
@@ -47,24 +47,24 @@ func TestNoSpaceDegradesGracefully(t *testing.T) {
 
 	// The refusal is stable (and each refused write is also an inline
 	// compaction attempt that finds nothing to reclaim — no garbage yet).
-	if err := ss.PutBytes(1<<40, val); !errors.Is(err, ErrNoSpace) {
+	if err := ss.PutKV(k8(1<<40), val); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("second write on full store: %v, want ErrNoSpace", err)
 	}
 
 	// Degraded, not dead: every written value still reads back exactly,
 	// and deletes work.
 	for _, k := range written {
-		got, ok, err := ss.GetBytes(k, nil)
+		got, ok, err := ss.GetKV(k8(k), nil)
 		if err != nil || !ok || !bytes.Equal(got, val) {
-			t.Fatalf("GetBytes(%d) on full store = (ok=%v, err=%v)", k, ok, err)
+			t.Fatalf("GetKV(%d) on full store = (ok=%v, err=%v)", k, ok, err)
 		}
 	}
 
 	// Free ~half the data, compact, and the store must admit writes again:
 	// the condition clears through the normal delete+GC path, no restart.
 	for _, k := range written[:len(written)/2] {
-		if ok, err := ss.Delete(k); err != nil || !ok {
-			t.Fatalf("Delete(%d) on full store = (%v, %v)", k, ok, err)
+		if ok, err := ss.DeleteKV(k8(k)); err != nil || !ok {
+			t.Fatalf("DeleteKV(%d) on full store = (%v, %v)", k, ok, err)
 		}
 	}
 	if _, err := ss.CompactValues(); err != nil {
@@ -72,7 +72,7 @@ func TestNoSpaceDegradesGracefully(t *testing.T) {
 	}
 	recovered := 0
 	for k := uint64(1 << 20); k < 1<<20+16; k++ {
-		if err := ss.PutBytes(k, val); err != nil {
+		if err := ss.PutKV(k8(k), val); err != nil {
 			if !errors.Is(err, ErrNoSpace) {
 				t.Fatalf("post-compaction write failed oddly: %v", err)
 			}
@@ -86,9 +86,9 @@ func TestNoSpaceDegradesGracefully(t *testing.T) {
 
 	// And the survivors are still intact.
 	for _, k := range written[len(written)/2:] {
-		got, ok, err := ss.GetBytes(k, nil)
+		got, ok, err := ss.GetKV(k8(k), nil)
 		if err != nil || !ok || !bytes.Equal(got, val) {
-			t.Fatalf("GetBytes(%d) after compaction = (ok=%v, err=%v)", k, ok, err)
+			t.Fatalf("GetKV(%d) after compaction = (ok=%v, err=%v)", k, ok, err)
 		}
 	}
 }

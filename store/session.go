@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/index"
+	"repro/internal/metrics"
 	"repro/internal/pmem"
 )
 
@@ -31,9 +32,6 @@ type Session struct {
 	scanMax  int
 	scanOut  []KV
 
-	// valBuf is the reusable value buffer behind ScanBytes callbacks.
-	valBuf []byte
-
 	// The byte-key API's reusable state (see kv.go): kvBuf holds the
 	// current bucket image being read, kvNew the rewritten image being
 	// built, kvRefs one page of collected (prefix, ref) pairs, kvRuns the
@@ -43,21 +41,20 @@ type Session struct {
 	kvRefs []KV
 	kvRuns []kvRun
 
-	// opTick drives latency sampling (see sampleOp). Plain field: a
+	// sampler drives latency sampling (see sampleOp). Plain state: a
 	// Session is single-goroutine by contract.
-	opTick uint32
+	sampler metrics.Sampler
 }
 
 // sampleOp reports whether this operation's latency should be clocked.
 // Reading the clock twice costs ~100ns on some hosts — a large fraction
-// of a ~0.5µs Get — so the per-op histograms observe one in every
-// opSampleMask+1 operations. Quantiles over a uniform 1-in-N sample of
-// the op stream converge to the true quantiles; only the histogram
-// _count reflects samples, not operations (exact op counts live in the
-// server's per-opcode counters).
+// of a ~0.5µs Get — so the per-op histograms observe each operation
+// independently with probability 1/(opSampleMask+1), whatever the op mix
+// (see metrics.Sampler). Quantiles over that random sample converge to the
+// true quantiles; only the histogram _count reflects samples, not
+// operations (exact op counts live in the server's per-opcode counters).
 func (ss *Session) sampleOp() bool {
-	ss.opTick++
-	return ss.opTick&opSampleMask == 0
+	return ss.sampler.Sample(opSampleMask)
 }
 
 // NewSession returns a fresh Session bound to the calling goroutine. It may
@@ -87,10 +84,9 @@ type KV struct {
 }
 
 // Put stores val under key, replacing any existing value. Completed Puts
-// are persistent; an in-flight Put is atomic under any crash. Overwriting
-// a key that held a varlen value retires the old log record through the
-// same accounting funnel as PutBytes (see retireWord). On a closed store
-// it returns ErrClosed.
+// are persistent; an in-flight Put is atomic under any crash. A displaced
+// word goes through the garbage-accounting funnel (see retireWord). On a
+// closed store it returns ErrClosed.
 func (ss *Session) Put(key, val uint64) error {
 	if !ss.s.acquire() {
 		return ErrClosed
@@ -130,11 +126,11 @@ func (ss *Session) Get(key uint64) (uint64, bool, error) {
 	return v, ok, nil
 }
 
-// Delete removes key, reporting whether it was present. A varlen key's log
-// record is retired to the garbage accounting (and may trigger automatic
-// GC); a fixed-width key's displaced word fails the record validation and
-// feeds nothing, so the reclaim stats stay consistent whichever API wrote
-// the key. On a closed store it returns ErrClosed.
+// Delete removes key, reporting whether it was present. The displaced word
+// goes through the garbage-accounting funnel: a fixed-width value fails
+// the record validation and feeds nothing, so the reclaim stats stay
+// consistent whichever API wrote the word (see retireWord). On a closed
+// store it returns ErrClosed.
 func (ss *Session) Delete(key uint64) (bool, error) {
 	if !ss.s.acquire() {
 		return false, ErrClosed
@@ -164,9 +160,9 @@ func (ss *Session) Delete(key uint64) (bool, error) {
 // Pairs within a shard apply in slice order (later duplicates win); each
 // pair is individually atomic, there is no cross-pair transaction. The
 // first error aborts that shard's remaining pairs and is returned.
-// Displaced varlen records retire through the same accounting funnel as
-// every other write path, and shards whose batch created garbage may run
-// an automatic GC pass before PutBatch returns. On a closed store it
+// Displaced words retire through the same accounting funnel as every other
+// write path, and shards whose batch created garbage may run an automatic
+// GC pass before PutBatch returns. On a closed store it
 // returns ErrClosed without applying any pair.
 func (ss *Session) PutBatch(pairs []KV) error {
 	if len(pairs) == 0 {

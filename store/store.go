@@ -55,12 +55,12 @@ type Options struct {
 	// NodeSize overrides the per-shard node size.
 	NodeSize int
 	// ValueLogExtent is the growth unit of each shard's value log in
-	// bytes (the persistent log behind PutBytes/GetBytes). 0 picks a
+	// bytes (the persistent log behind the byte-key API). 0 picks a
 	// default scaled to ShardSize; oversized values allocate one-off
 	// larger extents regardless.
 	ValueLogExtent int64
 	// GCGarbageRatio triggers automatic value-log compaction: when a
-	// varlen overwrite or delete pushes a shard's garbage fraction
+	// byte-key overwrite or delete pushes a shard's garbage fraction
 	// (garbage / (live+garbage) payload bytes) to or above this ratio —
 	// and at least one extent's worth of garbage has accumulated — the
 	// writing session runs a GC pass on that shard before returning.
@@ -155,7 +155,7 @@ const maxShards = 1 << 16
 // stampSlot identifies the shard (magic, shard count, shard id); shapeSlot
 // records how the shard's index was configured (kind hash, node size) so
 // Reopen refuses to misinterpret an image with the wrong options; vlogSlot
-// anchors the shard's value log (varlen values); txnSlot anchors the
+// anchors the shard's value log (byte-key buckets); txnSlot anchors the
 // shard's transaction redo log (Txn commits).
 const (
 	stampSlot = 3
@@ -252,7 +252,8 @@ type shardGC struct {
 	// reader that might hold a pre-swap ref snapshot has drained, and
 	// any reader arriving later re-reads the tree, which no longer names
 	// the extent — so no reader can ever dereference freed log space.
-	// Writers (appends) never take it: they hold no record references.
+	// Byte-key writers hold it shared from their bucket append to the
+	// tree install, so a pass cannot judge an uninstalled record dead.
 	varMu sync.RWMutex
 	// runMu serialises GC passes per shard; automatic triggers TryLock
 	// it so concurrent writers never queue behind one another's passes.
@@ -266,8 +267,8 @@ type shardGC struct {
 	// around a concurrent swap. Lock order: kvMu before varMu.
 	kvMu sync.Mutex
 	// applyMu fences transaction commits against plain writers: every
-	// non-transactional mutation (Put, Delete, PutBatch, PutBytes,
-	// PutKV, DeleteKV) holds it shared for the mutation, and Txn.Commit
+	// non-transactional mutation (Put, Delete, PutBatch, PutKV,
+	// DeleteKV) holds it shared for the mutation, and Txn.Commit
 	// holds it exclusively on every participating shard from before its
 	// first intent append until after its log truncation. Without it, a
 	// plain write landing between a committed transaction's tree apply

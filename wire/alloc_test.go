@@ -16,9 +16,6 @@ func TestAppendRequestAllocFree(t *testing.T) {
 		{ID: 4, Op: OpPutBatch, Pairs: pairs},
 		{ID: 5, Op: OpScan, Lo: 1, Hi: 100, Max: 10},
 		{ID: 6, Op: OpStats},
-		{ID: 7, Op: OpGetV, Key: 7},
-		{ID: 8, Op: OpPutV, Key: 7, VVal: []byte("varlen value bytes")},
-		{ID: 9, Op: OpScanV, Lo: 1, Hi: 100, Max: 10},
 		{ID: 10, Op: OpGetK, KKey: []byte("byte key")},
 		{ID: 11, Op: OpPutK, KKey: []byte("byte key"), VVal: []byte("value bytes")},
 		{ID: 12, Op: OpDeleteK, KKey: []byte("byte key")},
@@ -47,8 +44,6 @@ func TestAppendResponseAllocFree(t *testing.T) {
 		{ID: 3, Op: OpGet, Status: StatusNotFound},
 		{ID: 4, Op: OpScan, Status: StatusOK, Pairs: pairs},
 		{ID: 5, Op: OpStats, Status: StatusOK, Stats: Stats{Ops: 1}},
-		{ID: 6, Op: OpGetV, Status: StatusOK, VVal: []byte("varlen value bytes")},
-		{ID: 7, Op: OpScanV, Status: StatusOK, VPairs: []VKV{{Key: 1, Val: []byte("a")}, {Key: 2, Val: []byte("bb")}}},
 		{ID: 8, Op: OpGetK, Status: StatusOK, VVal: []byte("byte-keyed value")},
 		{ID: 9, Op: OpPutK, Status: StatusOK},
 		{ID: 10, Op: OpScanK, Status: StatusOK, KPairs: []KKV{{Key: []byte("k1"), Val: []byte("a")}, {Key: []byte("k2"), Val: []byte("bb")}}},
@@ -137,35 +132,6 @@ func TestDecodeRoundTripAllocs(t *testing.T) {
 		}
 	}); allocs != 1 {
 		t.Errorf("DecodeResponse(Scan) allocs/op = %v, want 1 (the pairs slice)", allocs)
-	}
-
-	// Varlen decodes allocate exactly their payload: PutV requests and
-	// GetV responses copy the value out of the frame (one alloc), ScanV
-	// responses slice every value out of one shared arena (two).
-	putv := encodeReq(&Request{ID: 7, Op: OpPutV, Key: 7, VVal: []byte("some value bytes")})
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeRequest(putv); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 1 {
-		t.Errorf("DecodeRequest(PutV) allocs/op = %v, want 1 (the value copy)", allocs)
-	}
-	getv := encodeResp(&Response{ID: 8, Op: OpGetV, Status: StatusOK, VVal: []byte("some value bytes")})
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeResponse(getv); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 1 {
-		t.Errorf("DecodeResponse(GetV) allocs/op = %v, want 1 (the value copy)", allocs)
-	}
-	scanv := encodeResp(&Response{ID: 9, Op: OpScanV, Status: StatusOK,
-		VPairs: []VKV{{Key: 1, Val: []byte("aaa")}, {Key: 2, Val: []byte("bbbb")}}})
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeResponse(scanv); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 2 {
-		t.Errorf("DecodeResponse(ScanV) allocs/op = %v, want 2 (pairs slice + value arena)", allocs)
 	}
 
 	// Byte-key decodes allocate exactly their payload: GetK/DeleteK

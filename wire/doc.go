@@ -2,8 +2,8 @@
 // binary framing shared by package server and package client.
 //
 // The normative protocol specification — frame layout, the full opcode and
-// status tables (including the varlen-value ops GetV/PutV/ScanV), size
-// limits, pipelining rules, and versioning/compatibility notes — lives in
+// status tables (including the byte-key ops GetK/PutK/DeleteK/ScanK and
+// OpTxn), size limits, pipelining rules, and versioning/compatibility notes — lives in
 // PROTOCOL.md next to this file. This package is its reference
 // implementation; where prose and code disagree, PROTOCOL.md wins and the
 // code has a bug.

@@ -19,6 +19,11 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	// Bodies of the ops revision 5 retired (7-9), which must stay
+	// rejected like any unknown opcode.
+	f.Add(append(make([]byte, 8), 7, 0, 0, 0, 0, 0, 0, 0, 42))
+	f.Add(append(make([]byte, 8), 8, 0, 0, 0, 0, 0, 0, 0, 42, 'v'))
+	f.Add(append(make([]byte, 8), 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 4))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := DecodeRequest(body)
 		if err != nil {

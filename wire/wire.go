@@ -18,19 +18,14 @@ const MaxFrame = 1 << 20
 // carry under MaxFrame. Clients chunk larger batches across frames.
 const MaxPairs = 32768
 
-// MaxValue is the largest byte-string value one PutV request or GetV/ScanV
-// response element may carry: a whole value plus headers must fit a frame.
-// Both encoders and decoders enforce it, so a conforming peer can never be
-// handed a value it cannot re-emit.
-const MaxValue = MaxFrame - 64
-
 // The byte-string key limits (protocol revision 3). MaxKey bounds a GetK/
 // PutK/DeleteK key; MaxScanBound allows one extra byte so a ScanK cursor can
 // name the immediate successor of a max-sized key (lo = lastKey + "\x00").
-// MaxKValue bounds a PutK request or GetK/ScanK response value: tighter than
-// MaxValue because a ScanK response entry carries its key and per-entry
-// header alongside the value inside one MaxFrame body. Encoders and decoders
-// enforce all three symmetrically.
+// MaxKValue bounds a PutK request or GetK/ScanK response value: a ScanK
+// response entry carries its key and per-entry header alongside the value
+// inside one MaxFrame body. Encoders and decoders enforce all three
+// symmetrically, so a conforming peer can never be handed a value it cannot
+// re-emit.
 const (
 	MaxKey       = 1024
 	MaxScanBound = MaxKey + 1
@@ -49,13 +44,16 @@ const (
 	OpPutBatch
 	OpScan
 	OpStats
-	// The varlen-value opcodes: values are byte strings, not u64s.
-	OpGetV
-	OpPutV
-	OpScanV
+)
+
+// Opcodes 7-9 carried byte-string values under u64 keys until protocol
+// revision 5 retired them in favour of the byte-key opcodes. Their numbers
+// are reserved forever and never reassigned; a peer that sends one gets
+// the unknown-opcode rejection.
+const (
 	// The byte-string key opcodes (protocol revision 3): keys are byte
 	// strings of 1..MaxKey bytes, length-prefixed before the value run.
-	OpGetK
+	OpGetK Op = iota + 10
 	OpPutK
 	OpDeleteK
 	OpScanK
@@ -104,12 +102,6 @@ func (op Op) String() string {
 		return "Scan"
 	case OpStats:
 		return "Stats"
-	case OpGetV:
-		return "GetV"
-	case OpPutV:
-		return "PutV"
-	case OpScanV:
-		return "ScanV"
 	case OpGetK:
 		return "GetK"
 	case OpPutK:
@@ -186,20 +178,14 @@ type KV struct {
 	Key, Val uint64
 }
 
-// VKV is one key / byte-string value pair as carried by ScanV responses.
-type VKV struct {
-	Key uint64
-	Val []byte
-}
-
 // KKV is one byte-string key/value pair as carried by ScanK responses.
 type KKV struct {
 	Key, Val []byte
 }
 
 // Stats is the counter snapshot a StatusOK Stats response carries. The
-// Vlog* fields surface the store's value-log space accounting (varlen
-// values live behind a log the server compacts; see the store package).
+// Vlog* fields surface the store's value-log space accounting (byte-key
+// buckets live behind a log the server compacts; see the store package).
 type Stats struct {
 	Ops           uint64 // requests served
 	Errors        uint64 // requests answered with StatusErr, StatusClosed, or StatusNoSpace
@@ -213,8 +199,8 @@ type Stats struct {
 
 	// Per-op-class server-side latency summaries, in nanoseconds, measured
 	// over the whole request lifetime (queue wait + execute). Classes:
-	// read = Get/GetV/Stats, write = Put/PutV/Delete/PutBatch,
-	// scan = Scan/ScanV. Zero when the class has served no requests.
+	// read = Get/GetK/Stats, write = Put/PutK/Delete/DeleteK/PutBatch/Txn,
+	// scan = Scan/ScanK. Zero when the class has served no requests.
 	ReadP50  uint64
 	ReadP99  uint64
 	WriteP50 uint64
@@ -233,12 +219,12 @@ type Stats struct {
 type Request struct {
 	ID     uint64
 	Op     Op
-	Key    uint64 // Get, Put, Delete, GetV, PutV
+	Key    uint64 // Get, Put, Delete
 	Val    uint64 // Put
-	Lo, Hi uint64 // Scan, ScanV
-	Max    uint32 // Scan/ScanV/ScanK result cap; 0 = server default
+	Lo, Hi uint64 // Scan
+	Max    uint32 // Scan/ScanK result cap; 0 = server default
 	Pairs  []KV   // PutBatch
-	VVal   []byte // PutV/PutK value (decoded into its own allocation)
+	VVal   []byte // PutK value (decoded into its own allocation)
 	KKey   []byte // GetK, PutK, DeleteK byte-string key (1..MaxKey bytes)
 	// ScanK bounds: nil or empty means unbounded on that side. Up to
 	// MaxScanBound bytes each, so a cursor can name a max-sized key's
@@ -257,8 +243,7 @@ type Response struct {
 	Status Status
 	Val    uint64 // Get hit
 	Pairs  []KV   // Scan
-	VVal   []byte // GetV/GetK hit
-	VPairs []VKV  // ScanV (decoded Vals subslice one shared allocation)
+	VVal   []byte // GetK hit
 	KPairs []KKV  // ScanK (decoded keys and values subslice one shared allocation)
 	Stats  Stats  // Stats
 	Msg    string // StatusErr/StatusClosed/StatusBusy/StatusNoSpace detail
@@ -370,13 +355,11 @@ func appendFrame(dst []byte, lenAt int) []byte {
 
 // AppendRequest appends r as one length-prefixed frame to dst and returns
 // the extended slice. The encode-time failures are a PutBatch exceeding
-// MaxPairs (chunk those across frames) and a PutV value above MaxValue.
+// MaxPairs (chunk those across frames), a byte key outside 1..MaxKey, a
+// value above MaxKValue, and an OpTxn write-set over its caps.
 func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	if r.Op == OpPutBatch && len(r.Pairs) > MaxPairs {
 		return dst, fmt.Errorf("%w: %d > %d", ErrTooManyKV, len(r.Pairs), MaxPairs)
-	}
-	if r.Op == OpPutV && len(r.VVal) > MaxValue {
-		return dst, fmt.Errorf("%w: PutV value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxValue)
 	}
 	switch r.Op {
 	case OpGetK, OpPutK, OpDeleteK:
@@ -439,23 +422,18 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 			dst = be.AppendUint64(dst, kv.Key)
 			dst = be.AppendUint64(dst, kv.Val)
 		}
-	case OpScan, OpScanV:
+	case OpScan:
 		dst = be.AppendUint64(dst, r.Lo)
 		dst = be.AppendUint64(dst, r.Hi)
 		dst = be.AppendUint32(dst, r.Max)
 	case OpStats:
-	case OpGetV:
-		dst = be.AppendUint64(dst, r.Key)
-	case OpPutV:
-		// The value runs to the end of the frame: its length is implied
-		// by the frame length, like an error message's.
-		dst = be.AppendUint64(dst, r.Key)
-		dst = append(dst, r.VVal...)
 	case OpGetK, OpDeleteK:
 		dst = be.AppendUint16(dst, uint16(len(r.KKey)))
 		dst = append(dst, r.KKey...)
 	case OpPutK:
-		// Length-prefixed key, then the value to the end of the frame.
+		// Length-prefixed key, then the value to the end of the frame:
+		// its length is implied by the frame length, like an error
+		// message's.
 		dst = be.AppendUint16(dst, uint16(len(r.KKey)))
 		dst = append(dst, r.KKey...)
 		dst = append(dst, r.VVal...)
@@ -534,9 +512,9 @@ func DecodeRequest(body []byte) (Request, error) {
 			pairs[i].Val = be.Uint64(p[i*16+8:])
 		}
 		r.Pairs = pairs
-	case OpScan, OpScanV:
+	case OpScan:
 		if len(p) != 20 {
-			return r, malformed("%s payload %d bytes, want 20", r.Op, len(p))
+			return r, malformed("Scan payload %d bytes, want 20", len(p))
 		}
 		r.Lo = be.Uint64(p)
 		r.Hi = be.Uint64(p[8:])
@@ -545,22 +523,6 @@ func DecodeRequest(body []byte) (Request, error) {
 		if len(p) != 0 {
 			return r, malformed("Stats payload %d bytes, want 0", len(p))
 		}
-	case OpGetV:
-		if len(p) != 8 {
-			return r, malformed("GetV payload %d bytes, want 8", len(p))
-		}
-		r.Key = be.Uint64(p)
-	case OpPutV:
-		if len(p) < 8 {
-			return r, malformed("PutV payload %d bytes, want >= 8", len(p))
-		}
-		if len(p)-8 > MaxValue {
-			return r, malformed("PutV value %d bytes exceeds MaxValue %d", len(p)-8, MaxValue)
-		}
-		r.Key = be.Uint64(p)
-		// Copied, not aliased: frame buffers are recycled by transports,
-		// but requests outlive the read loop's scratch.
-		r.VVal = append([]byte(nil), p[8:]...)
 	case OpGetK, OpDeleteK:
 		if len(p) < 2 {
 			return r, malformed("%s payload %d bytes, want >= 2", r.Op, len(p))
@@ -733,17 +695,14 @@ func DecodeRequest(body []byte) (Request, error) {
 }
 
 // AppendResponse appends r as one length-prefixed frame to dst and returns
-// the extended slice. Scan/ScanV responses exceeding MaxPairs and GetV/ScanV
-// values above MaxValue fail at encode time; servers cap result sets below
-// both.
+// the extended slice. Scan/ScanK responses exceeding MaxPairs and GetK/
+// ScanK values above MaxKValue fail at encode time; servers cap result sets
+// below both.
 func AppendResponse(dst []byte, r *Response) ([]byte, error) {
-	if (r.Op == OpScan || r.Op == OpScanV || r.Op == OpScanK) && r.Status == StatusOK &&
-		max(len(r.Pairs), max(len(r.VPairs), len(r.KPairs))) > MaxPairs {
+	if (r.Op == OpScan || r.Op == OpScanK) && r.Status == StatusOK &&
+		max(len(r.Pairs), len(r.KPairs)) > MaxPairs {
 		return dst, fmt.Errorf("%w: %d > %d", ErrTooManyKV,
-			max(len(r.Pairs), max(len(r.VPairs), len(r.KPairs))), MaxPairs)
-	}
-	if r.Op == OpGetV && r.Status == StatusOK && len(r.VVal) > MaxValue {
-		return dst, fmt.Errorf("%w: GetV value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxValue)
+			max(len(r.Pairs), len(r.KPairs)), MaxPairs)
 	}
 	if r.Op == OpGetK && r.Status == StatusOK && len(r.VVal) > MaxKValue {
 		return dst, fmt.Errorf("%w: GetK value %d > %d bytes", ErrFrameTooBig, len(r.VVal), MaxKValue)
@@ -780,19 +739,6 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 			} {
 				dst = be.AppendUint64(dst, v)
 			}
-		case OpGetV:
-			dst = append(dst, r.VVal...)
-		case OpScanV:
-			dst = be.AppendUint32(dst, uint32(len(r.VPairs)))
-			for i := range r.VPairs {
-				if len(r.VPairs[i].Val) > MaxValue {
-					return dst[:lenAt], fmt.Errorf("%w: ScanV value %d > %d bytes",
-						ErrFrameTooBig, len(r.VPairs[i].Val), MaxValue)
-				}
-				dst = be.AppendUint64(dst, r.VPairs[i].Key)
-				dst = be.AppendUint32(dst, uint32(len(r.VPairs[i].Val)))
-				dst = append(dst, r.VPairs[i].Val...)
-			}
 		case OpGetK:
 			dst = append(dst, r.VVal...)
 		case OpScanK:
@@ -812,7 +758,7 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 				dst = append(dst, r.KPairs[i].Key...)
 				dst = append(dst, r.KPairs[i].Val...)
 			}
-		case OpPut, OpDelete, OpPutBatch, OpPutV, OpPutK, OpDeleteK, OpTxn:
+		case OpPut, OpDelete, OpPutBatch, OpPutK, OpDeleteK, OpTxn:
 		default:
 			return dst[:lenAt], fmt.Errorf("wire: cannot encode unknown opcode %d", r.Op)
 		}
@@ -870,7 +816,7 @@ func DecodeResponse(body []byte) (Response, error) {
 			return r, malformed("Get response payload %d bytes, want 8", len(p))
 		}
 		r.Val = be.Uint64(p)
-	case OpPut, OpDelete, OpPutBatch:
+	case OpPut, OpDelete, OpPutBatch, OpPutK, OpDeleteK, OpTxn:
 		if len(p) != 0 {
 			return r, malformed("%s response payload %d bytes, want 0", r.Op, len(p))
 		}
@@ -892,56 +838,6 @@ func DecodeResponse(body []byte) (Response, error) {
 			pairs[i].Val = be.Uint64(p[i*16+8:])
 		}
 		r.Pairs = pairs
-	case OpGetV:
-		if len(p) > MaxValue {
-			return r, malformed("GetV value %d bytes exceeds MaxValue %d", len(p), MaxValue)
-		}
-		r.VVal = append([]byte(nil), p...)
-	case OpPutV, OpPutK, OpDeleteK, OpTxn:
-		if len(p) != 0 {
-			return r, malformed("%s response payload %d bytes, want 0", r.Op, len(p))
-		}
-	case OpScanV:
-		if len(p) < 4 {
-			return r, malformed("ScanV response payload %d bytes, want >= 4", len(p))
-		}
-		n := be.Uint32(p)
-		p = p[4:]
-		if n > MaxPairs {
-			return r, malformed("ScanV count %d exceeds MaxPairs %d", n, MaxPairs)
-		}
-		// Two passes: validate the pair lengths against the actual bytes
-		// present before allocating anything, then slice one shared arena
-		// so a count-n response costs exactly two allocations.
-		total, q := 0, p
-		for i := uint32(0); i < n; i++ {
-			if len(q) < 12 {
-				return r, malformed("ScanV pair %d truncated", i)
-			}
-			vlen := int(be.Uint32(q[8:]))
-			if vlen > MaxValue {
-				return r, malformed("ScanV value %d bytes exceeds MaxValue %d", vlen, MaxValue)
-			}
-			if len(q)-12 < vlen {
-				return r, malformed("ScanV pair %d claims %d value bytes, %d left", i, vlen, len(q)-12)
-			}
-			total += vlen
-			q = q[12+vlen:]
-		}
-		if len(q) != 0 {
-			return r, malformed("ScanV response has %d trailing bytes", len(q))
-		}
-		arena := make([]byte, 0, total)
-		pairs := make([]VKV, n)
-		for i := range pairs {
-			vlen := int(be.Uint32(p[8:]))
-			pairs[i].Key = be.Uint64(p)
-			start := len(arena)
-			arena = append(arena, p[12:12+vlen]...)
-			pairs[i].Val = arena[start:len(arena):len(arena)]
-			p = p[12+vlen:]
-		}
-		r.VPairs = pairs
 	case OpGetK:
 		if len(p) > MaxKValue {
 			return r, malformed("GetK value %d bytes exceeds MaxKValue %d", len(p), MaxKValue)
@@ -956,9 +852,9 @@ func DecodeResponse(body []byte) (Response, error) {
 		if n > MaxPairs {
 			return r, malformed("ScanK count %d exceeds MaxPairs %d", n, MaxPairs)
 		}
-		// Same two-pass discipline as ScanV: validate every entry against
-		// the bytes actually present, then slice one shared arena holding
-		// keys and values — two allocations for a count-n response.
+		// Two passes: validate every entry against the bytes actually
+		// present before allocating anything, then slice one shared arena
+		// holding keys and values — two allocations for a count-n response.
 		total, q := 0, p
 		for i := uint32(0); i < n; i++ {
 			if len(q) < 6 {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -19,10 +20,12 @@ func requestCases() []Request {
 		{ID: 6, Op: OpScan, Lo: 10, Hi: 20, Max: 7},
 		{ID: 7, Op: OpScan, Lo: 0, Hi: ^uint64(0), Max: 0},
 		{ID: ^uint64(0), Op: OpStats},
-		{ID: 8, Op: OpGetV, Key: 42},
-		{ID: 9, Op: OpPutV, Key: 42, VVal: []byte("hello, varlen world")},
-		{ID: 10, Op: OpPutV, Key: 0},
-		{ID: 11, Op: OpScanV, Lo: 5, Hi: 500, Max: 32},
+		// Byte-string values under integer keys: the byte-key ops with
+		// 8-byte big-endian keys.
+		{ID: 8, Op: OpGetK, KKey: be.AppendUint64(nil, 42)},
+		{ID: 9, Op: OpPutK, KKey: be.AppendUint64(nil, 42), VVal: []byte("hello, byte-key world")},
+		{ID: 10, Op: OpPutK, KKey: be.AppendUint64(nil, 0)},
+		{ID: 11, Op: OpScanK, KLo: be.AppendUint64(nil, 5), KHi: be.AppendUint64(nil, 500), Max: 32},
 		// Byte-key ops (revision 3); the keys deliberately share 8-byte
 		// prefixes, seeding the fuzz corpora with the collision shapes the
 		// store's bucket path must resolve.
@@ -74,17 +77,17 @@ func responseCases() []Response {
 		{ID: 10, Op: OpGet, Status: StatusClosed, Msg: "store: closed"},
 		{ID: 11, Op: OpPut, Status: StatusErr, Msg: ""},
 		{ID: 18, Op: OpPut, Status: StatusBusy, Msg: "server overloaded"},
-		{ID: 19, Op: OpPutV, Status: StatusNoSpace, Msg: "store: value log out of space"},
-		{ID: 12, Op: OpGetV, Status: StatusOK, VVal: []byte("byte-string value")},
-		{ID: 13, Op: OpGetV, Status: StatusNotFound},
-		{ID: 14, Op: OpPutV, Status: StatusOK},
-		{ID: 15, Op: OpScanV, Status: StatusOK, VPairs: []VKV{
-			{Key: 1, Val: []byte("a")},
-			{Key: 2, Val: []byte("")},
-			{Key: ^uint64(0), Val: bytes.Repeat([]byte{0xab}, 300)},
+		{ID: 19, Op: OpPutK, Status: StatusNoSpace, Msg: "store: value log out of space"},
+		{ID: 12, Op: OpGetK, Status: StatusOK, VVal: []byte("byte-string value")},
+		{ID: 13, Op: OpGetK, Status: StatusNotFound},
+		{ID: 14, Op: OpDeleteK, Status: StatusOK},
+		{ID: 15, Op: OpScanK, Status: StatusOK, KPairs: []KKV{
+			{Key: be.AppendUint64(nil, 1), Val: []byte("a")},
+			{Key: be.AppendUint64(nil, 2)},
+			{Key: be.AppendUint64(nil, ^uint64(0)), Val: bytes.Repeat([]byte{0xab}, 300)},
 		}},
-		{ID: 16, Op: OpScanV, Status: StatusOK, VPairs: []VKV{}},
-		{ID: 17, Op: OpGetV, Status: StatusErr, Msg: "store: key does not hold a varlen value"},
+		{ID: 16, Op: OpScanK, Status: StatusNotFound},
+		{ID: 17, Op: OpGetK, Status: StatusErr, Msg: "store: value failed its checksum"},
 		// Byte-key ops (revision 3), with prefix-colliding scan pairs.
 		{ID: 20, Op: OpGetK, Status: StatusOK, VVal: []byte("byte-keyed value")},
 		{ID: 21, Op: OpGetK, Status: StatusNotFound},
@@ -263,10 +266,12 @@ func TestDecodeRequestRejectsGarbage(t *testing.T) {
 		{"batch short count", append(make([]byte, 8), byte(OpPutBatch), 1)},
 		{"batch count lies", append(append(make([]byte, 8), byte(OpPutBatch)), 0xff, 0xff, 0xff, 0xff)},
 		{"stats with payload", append(make([]byte, 8), byte(OpStats), 1)},
-		{"getv without key", append(make([]byte, 8), byte(OpGetV), 1, 2)},
-		{"getv trailing bytes", append(make([]byte, 8), byte(OpGetV), 0, 0, 0, 0, 0, 0, 0, 0, 99)},
-		{"putv short key", append(make([]byte, 8), byte(OpPutV), 1, 2, 3)},
-		{"scanv short payload", append(make([]byte, 8), byte(OpScanV), 1, 2, 3, 4)},
+		// The opcodes revision 5 retired, each with the payload its old
+		// decoder accepted: reserved numbers are unknown opcodes now.
+		{"retired GetV (7)", append(make([]byte, 8), 7, 0, 0, 0, 0, 0, 0, 0, 42)},
+		{"retired PutV (8)", append(make([]byte, 8), 8, 0, 0, 0, 0, 0, 0, 0, 42, 'v')},
+		{"retired ScanV (9)", append(make([]byte, 8), 9, 0, 0, 0, 0, 0, 0, 0, 1,
+			0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 4)},
 		{"getk no length", append(make([]byte, 8), byte(OpGetK))},
 		{"getk zero-length key", append(make([]byte, 8), byte(OpGetK), 0, 0)},
 		{"getk key lies", append(make([]byte, 8), byte(OpGetK), 0, 5, 'a', 'b')},
@@ -383,60 +388,33 @@ func TestTxnLimits(t *testing.T) {
 	}
 }
 
-// TestVarlenLimits pins the size caps of the varlen ops on both the encode
-// and decode side, so a conforming peer can never be handed a frame it
-// cannot re-emit (the fuzz round-trip property depends on this symmetry).
-func TestVarlenLimits(t *testing.T) {
-	big := make([]byte, MaxValue+1)
-	if _, err := AppendRequest(nil, &Request{Op: OpPutV, Key: 1, VVal: big}); !errors.Is(err, ErrFrameTooBig) {
-		t.Fatalf("encode oversized PutV: %v, want ErrFrameTooBig", err)
+// TestOpcodeNumbers pins every live opcode's number. Numbers are the
+// protocol: a removed opcode's number stays reserved (7-9 since revision
+// 5), so the opcodes after it must never shift down to fill the gap.
+func TestOpcodeNumbers(t *testing.T) {
+	for _, c := range []struct {
+		op   Op
+		want uint8
+	}{
+		{OpGet, 1}, {OpPut, 2}, {OpDelete, 3}, {OpPutBatch, 4}, {OpScan, 5}, {OpStats, 6},
+		{OpGetK, 10}, {OpPutK, 11}, {OpDeleteK, 12}, {OpScanK, 13}, {OpTxn, 14},
+	} {
+		if uint8(c.op) != c.want {
+			t.Errorf("%s = %d, want %d", c.op, uint8(c.op), c.want)
+		}
 	}
-	if _, err := AppendResponse(nil, &Response{Op: OpGetV, Status: StatusOK, VVal: big}); !errors.Is(err, ErrFrameTooBig) {
-		t.Fatalf("encode oversized GetV: %v, want ErrFrameTooBig", err)
-	}
-	if _, err := AppendResponse(nil, &Response{Op: OpScanV, Status: StatusOK,
-		VPairs: []VKV{{Key: 1, Val: big}}}); !errors.Is(err, ErrFrameTooBig) {
-		t.Fatalf("encode oversized ScanV element: %v, want ErrFrameTooBig", err)
-	}
-	if _, err := AppendResponse(nil, &Response{Op: OpScanV, Status: StatusOK,
-		VPairs: make([]VKV, MaxPairs+1)}); !errors.Is(err, ErrTooManyKV) {
-		t.Fatalf("encode over-long ScanV: %v, want ErrTooManyKV", err)
-	}
-
-	// Decoder side: a hand-rolled peer pushing the same violations is
-	// rejected as malformed.
-	overReq := append(be.AppendUint64(append(make([]byte, 8), byte(OpPutV)), 1), big...)
-	if _, err := DecodeRequest(overReq); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("decode oversized PutV: %v, want ErrMalformed", err)
-	}
-	overResp := append(make([]byte, 8), byte(OpGetV), byte(StatusOK))
-	overResp = append(overResp, big...)
-	if _, err := DecodeResponse(overResp); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("decode oversized GetV: %v, want ErrMalformed", err)
-	}
-	// ScanV with a lying element length.
-	lie := append(make([]byte, 8), byte(OpScanV), byte(StatusOK))
-	lie = be.AppendUint32(lie, 1)
-	lie = be.AppendUint64(lie, 7)
-	lie = be.AppendUint32(lie, 100) // claims 100 bytes, provides 2
-	lie = append(lie, 0xaa, 0xbb)
-	if _, err := DecodeResponse(lie); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("decode lying ScanV: %v, want ErrMalformed", err)
-	}
-	// The largest legal PutV still fits one frame.
-	okReq := Request{Op: OpPutV, Key: 1, VVal: make([]byte, MaxValue)}
-	frame, err := AppendRequest(nil, &okReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frame) > MaxFrame+FrameHdrSize {
-		t.Fatalf("max PutV frame is %d bytes, exceeds MaxFrame %d", len(frame), MaxFrame)
+	for op := Op(7); op <= 9; op++ {
+		if got, want := op.String(), fmt.Sprintf("Op(%d)", op); got != want {
+			t.Errorf("retired opcode %d names itself %q, want %q", op, got, want)
+		}
 	}
 }
 
 // TestByteKeyLimits pins the revision-3 size caps symmetrically on encode
-// and decode, like TestVarlenLimits does for revision 2: keys are 1..MaxKey
-// bytes, scan bounds at most MaxScanBound, values at most MaxKValue.
+// and decode, so a conforming peer can never be handed a frame it cannot
+// re-emit (the fuzz round-trip property depends on this symmetry): keys are
+// 1..MaxKey bytes, scan bounds at most MaxScanBound, values at most
+// MaxKValue.
 func TestByteKeyLimits(t *testing.T) {
 	bigKey := make([]byte, MaxKey+1)
 	if _, err := AppendRequest(nil, &Request{Op: OpGetK, KKey: bigKey}); !errors.Is(err, ErrMalformed) {
