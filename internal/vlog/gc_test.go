@@ -3,6 +3,7 @@ package vlog
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -322,8 +323,9 @@ func TestAccountingFollowsLifecycle(t *testing.T) {
 	if st.Live != int64(100*(1+30)) {
 		t.Fatalf("live drifted: %+v", st)
 	}
-	// Reopen assumes everything below the tail is live; ResetAccounting
-	// restores the caller-computed truth.
+	// Reopen assumes everything below the tail is live; Recount restores
+	// the caller-computed truth from its census, ignoring words that name
+	// no record.
 	re, err := Open(p, th, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -332,8 +334,136 @@ func TestAccountingFollowsLifecycle(t *testing.T) {
 	if rst.Live == 0 || rst.Garbage != 0 {
 		t.Fatalf("reopen seed accounting: %+v", rst)
 	}
-	re.ResetAccounting(3100, 42)
-	if got := re.QuickStats(); got.Live != 3100 || got.Garbage != 42 {
-		t.Fatalf("ResetAccounting: %+v", got)
+	tree[2] = Ref(12345)
+	re.Recount(th, maps.All(tree))
+	if got := re.QuickStats(); got.Live != 3100 || got.Garbage != rst.Live-3100 {
+		t.Fatalf("Recount: %+v, want live 3100 garbage %d", got, rst.Live-3100)
 	}
+	if _, err := re.Check(th); err != nil {
+		t.Fatalf("check after Recount: %v", err)
+	}
+}
+
+// TestGCReclaimsEmptiestExtentFirst: with three sealed extents of
+// different garbage, a one-extent pass frees the emptiest — here the
+// second in the chain, not the head — and the mid-chain unlink leaves a
+// chain that Check and a reopen both accept.
+func TestGCReclaimsEmptiestExtentFirst(t *testing.T) {
+	p, th := newPool(t, 4<<20, false)
+	l, err := Create(p, th, 5, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 100-byte payloads make 120-byte records: 8 per 1 KiB extent, so
+	// keys 1-8, 9-16 and 17-24 fill three sealed extents and 25-28 sit in
+	// the current one.
+	rng := rand.New(rand.NewSource(3))
+	tree := mapTree{}
+	want := map[uint64][]byte{}
+	for k := uint64(1); k <= 28; k++ {
+		v := testValue(rng, 100)
+		ref, err := l.Append(th, k, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree[k], want[k] = ref, v
+	}
+	before := l.Extents()
+	if len(before) != 4 {
+		t.Fatalf("setup: %d extents, want 4", len(before))
+	}
+	// Garbage: 2 records of the head, 6 of the second extent, 4 of the
+	// third.
+	for _, k := range []uint64{1, 2, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20} {
+		l.MarkStale(th, k, tree[k])
+		delete(tree, k)
+		delete(want, k)
+	}
+	for i, live := range []int64{600, 200, 400, 400} {
+		if got := l.Extents()[i].Live; got != live {
+			t.Fatalf("extent %d counts %d live bytes, want %d", i, got, live)
+		}
+	}
+	res, err := l.GC(th, 1, tree.funcs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Extents != 1 || res.Relocated != 2 || res.DroppedBytes != 600 {
+		t.Fatalf("GC did not reclaim exactly the emptiest extent: %+v", res)
+	}
+	after := l.Extents()
+	if len(after) != 3 || after[0].Off != before[0].Off || after[1].Off != before[2].Off || after[2].Off != before[3].Off {
+		t.Fatalf("chain after GC %+v, want %+v without its second extent", after, before)
+	}
+	verifyTree(t, l, th, tree, want, "after GC")
+	if _, err := l.Check(th); err != nil {
+		t.Fatalf("check after mid-chain unlink: %v", err)
+	}
+	re, err := Open(p, th, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Extents(); len(got) != len(after) || got[1].Off != after[1].Off {
+		t.Fatalf("reopened chain %+v, want %+v", got, after)
+	}
+	re.Recount(th, maps.All(tree))
+	if _, err := re.Check(th); err != nil {
+		t.Fatalf("check after reopen: %v", err)
+	}
+	verifyTree(t, re, th, tree, want, "after reopen")
+}
+
+// TestGCLeadingFenceDrainsPendingInstall pins the single-sweep argument: a
+// writer that appended into a now-sealed extent before the pass but has
+// not yet installed the ref is drained by the pass's leading fence, so the
+// victim's one sweep sees the ref and relocates the record instead of
+// freeing it under the tree.
+func TestGCLeadingFenceDrainsPendingInstall(t *testing.T) {
+	p, th := newPool(t, 4<<20, false)
+	l, err := Create(p, th, 5, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	tree := mapTree{}
+	want := map[uint64][]byte{}
+	var pending Ref
+	// 120-byte records, 8 per extent: keys 1-8 fill the head extent, with
+	// key 8 appended but not yet installed; 9-20 seal a second extent.
+	for k := uint64(1); k <= 20; k++ {
+		v := testValue(rng, 100)
+		ref, err := l.Append(th, k, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+		if k == 8 {
+			pending = ref
+			continue
+		}
+		tree[k] = ref
+	}
+	// Make the head the emptiest extent: only the pending record is live.
+	for k := uint64(1); k <= 7; k++ {
+		l.MarkStale(th, k, tree[k])
+		delete(tree, k)
+		delete(want, k)
+	}
+	fs := tree.funcs()
+	fs.Fence = func() {
+		if _, ok := tree[8]; !ok {
+			tree[8] = pending // the writer's install completes
+		}
+	}
+	res, err := l.GC(th, 1, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Extents != 1 || res.Relocated != 1 {
+		t.Fatalf("GC did not relocate the installed record: %+v", res)
+	}
+	if tree[8] == pending {
+		t.Fatal("key 8 still names its record in the freed extent")
+	}
+	verifyTree(t, l, th, tree, want, "after GC")
 }

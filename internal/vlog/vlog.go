@@ -45,31 +45,43 @@
 //
 // Every record carries the key it was written under, so a compaction pass
 // can ask the index layer whether the record is still live (the tree's
-// word for that key still names this record). GC walks extents
-// oldest-first — the chain head — copies live records to the tail with the
-// ordinary failure-atomic append, asks the caller to swap the tree
-// reference from the old location to the new (a conditional replace that
-// refuses if the application overwrote the key mid-GC), and only then
-// unlinks and frees the drained extent. The unlink is a single persisted
-// 8-byte store of the chain-head pointer, ordered after the relocations by
-// their own flushes, so a crash anywhere in the cycle leaves every live key
-// naming exactly one intact copy: before the swap the old record is still
-// linked and valid; after the swap the new copy was already durable
-// (Append returned); after the unlink the old extent holds only dead
-// records. The caller supplies a Fence callback, invoked between the last
-// swap and the free, to drain readers that may still hold a pre-swap
-// reference snapshot (see GCFuncs).
+// word for that key still names this record). A pass reclaims the sealed
+// extents — every extent but the one appends land in — emptiest first: the
+// log keeps a volatile live-byte figure per extent and sorts by it, so the
+// pass copies as few live records as possible per byte it frees. For each
+// victim it copies the live records to the tail with the ordinary
+// failure-atomic append, asks the caller to swap the tree reference from
+// the old location to the new (a conditional replace that refuses if the
+// application overwrote the key mid-GC), and only then unlinks and frees
+// the drained extent. The unlink is a single persisted 8-byte store — of
+// the header's first-extent word when the victim is the chain head, of the
+// predecessor extent's next word otherwise — ordered after the
+// relocations by their own flushes, so a crash anywhere in the cycle
+// leaves every live key naming exactly one intact copy: before the swap
+// the old record is still linked and valid; after the swap the new copy
+// was already durable (Append returned); after the unlink the old extent
+// holds only dead records. The caller supplies a Fence callback, invoked
+// once before the first sweep and once between each victim's last swap
+// and its free, to drain writers still installing refs into the victims
+// and readers that may still hold a pre-swap reference snapshot (see
+// GCFuncs).
 //
 // Live/garbage byte accounting is volatile and caller-assisted: Append
-// counts the new record live, MarkStale moves the bytes of an overwritten
-// or deleted record to the garbage side, and the caller reconstructs both
-// counters after recovery (the log alone cannot know liveness).
+// counts the new record live in its extent, MarkStale moves the bytes of
+// an overwritten or deleted record to the garbage side, and the caller
+// recounts both after recovery (the log alone cannot know liveness). The
+// figures only order GC's victims and trigger passes; liveness itself is
+// always the tree's word, so drift in them costs efficiency, never
+// correctness.
 package vlog
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -190,11 +202,14 @@ type Log struct {
 	hdrOff int64
 
 	mu      sync.Mutex
-	tail    int64 // next append offset (mirrors the persisted tail word)
-	curExt  int64 // extent containing tail
-	curEnd  int64 // curExt's exclusive end
-	first   int64 // first extent in the chain (GC moves it forward)
+	tail    int64   // next append offset (mirrors the persisted tail word)
+	cur     *extent // extent containing tail
 	extSize int64
+
+	// exts is the chain as the volatile extent list; it is replaced under
+	// mu when growth links an extent or GC unlinks one, and read without
+	// a lock.
+	exts atomic.Pointer[extentSet]
 
 	// gcMu serialises GC passes, and Check against concurrent unlinks.
 	gcMu sync.Mutex
@@ -202,13 +217,60 @@ type Log struct {
 	// Volatile space accounting, in payload bytes (see Stats). live and
 	// garbage are caller-assisted: Append adds live, MarkStale moves
 	// live→garbage, GC settles both when it relocates and frees;
-	// ResetAccounting restores them after recovery.
+	// Recount restores them after recovery.
 	live      atomic.Int64
 	garbage   atomic.Int64
 	capBytes  atomic.Int64 // record space across allocated extents
 	reclaimed atomic.Int64 // arena bytes returned to the pool by GC
 	relocated atomic.Int64 // records copied forward by GC
 	gcPasses  atomic.Int64 // extents reclaimed by GC
+}
+
+// extent is the volatile accounting of one extent of the chain.
+type extent struct {
+	off, end int64        // arena offset and exclusive end
+	live     atomic.Int64 // payload bytes of its records the index still references
+}
+
+// extentSet is an immutable snapshot of the extent chain. Growth and GC
+// publish a new one; MarkStale finds a record's extent in whichever
+// snapshot it loads, lock-free.
+type extentSet struct {
+	chain []*extent // chain order, head first
+	byOff []*extent // the same extents by ascending offset
+}
+
+func newExtentSet(chain []*extent) *extentSet {
+	byOff := slices.Clone(chain)
+	slices.SortFunc(byOff, func(a, b *extent) int { return cmp.Compare(a.off, b.off) })
+	return &extentSet{chain: chain, byOff: byOff}
+}
+
+// with returns the set with e linked at the end of the chain.
+func (s *extentSet) with(e *extent) *extentSet {
+	return newExtentSet(append(slices.Clip(s.chain), e))
+}
+
+// without returns the set with e unlinked.
+func (s *extentSet) without(e *extent) *extentSet {
+	return newExtentSet(slices.DeleteFunc(slices.Clone(s.chain), func(x *extent) bool { return x == e }))
+}
+
+// find returns the extent holding arena offset off, or nil.
+func (s *extentSet) find(off int64) *extent {
+	lo, hi := 0, len(s.byOff)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.byOff[m].end <= off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(s.byOff) && s.byOff[lo].off <= off {
+		return s.byOff[lo]
+	}
+	return nil
 }
 
 // Create initialises an empty log anchored at the given pool root slot and
@@ -228,8 +290,8 @@ func Create(p *pmem.Pool, th *pmem.Thread, slot int, extSize int64) (*Log, error
 	if err != nil {
 		return nil, err
 	}
-	l.first, l.curExt = ext, ext
-	l.curEnd = ext + extSize
+	l.cur = &extent{off: ext, end: ext + extSize}
+	l.exts.Store(newExtentSet([]*extent{l.cur}))
 	l.tail = ext + extHdrBytes
 	th.Store(hdr+hdrFirstWord*pmem.WordSize, uint64(ext))
 	th.Store(hdr+hdrTailWord*pmem.WordSize, uint64(l.tail))
@@ -247,7 +309,7 @@ func Create(p *pmem.Pool, th *pmem.Thread, slot int, extSize int64) (*Log, error
 //
 // Accounting after Open assumes every surviving record is live; a caller
 // that can compute real liveness (the store walks its trees) should follow
-// with ResetAccounting.
+// with Recount.
 func Open(p *pmem.Pool, th *pmem.Thread, slot int) (*Log, error) {
 	hdr := p.Root(th, slot)
 	if hdr == 0 {
@@ -260,29 +322,30 @@ func Open(p *pmem.Pool, th *pmem.Thread, slot int) (*Log, error) {
 	l := &Log{
 		p:       p,
 		hdrOff:  hdr,
-		first:   int64(th.Load(hdr + hdrFirstWord*pmem.WordSize)),
 		tail:    int64(th.Load(hdr + hdrTailWord*pmem.WordSize)),
 		extSize: int64(th.Load(hdr + hdrExtWord*pmem.WordSize)),
 	}
-	if l.first == 0 || l.extSize <= 0 {
+	first := int64(th.Load(hdr + hdrFirstWord*pmem.WordSize))
+	if first == 0 || l.extSize <= 0 {
 		return nil, fmt.Errorf("%w: empty extent chain", ErrCorrupt)
 	}
-	if err := l.recover(th); err != nil {
+	if err := l.recover(th, first); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// recover restores the append invariants after a crash (see Open).
-func (l *Log) recover(th *pmem.Thread) error {
+// recover restores the append invariants after a crash (see Open) and
+// rebuilds the volatile extent list from the persisted chain.
+func (l *Log) recover(th *pmem.Thread, first int64) error {
 	// Walk the chain to its last extent, remembering the extent holding
 	// the persisted tail. The chain is bounded by the pool size, so a
 	// corrupt cycle cannot loop forever.
-	var tailExt, tailEnd int64
-	last, lastEnd := int64(0), int64(0)
+	var chain []*extent
+	var tailExt *extent
 	limit := l.p.Size()
 	var capSum int64
-	for ext, hops := l.first, int64(0); ext != 0; hops++ {
+	for ext, hops := first, int64(0); ext != 0; hops++ {
 		if ext < 0 || ext+extHdrBytes > limit || hops > limit/extHdrBytes {
 			return fmt.Errorf("%w: extent chain leaves the arena", ErrCorrupt)
 		}
@@ -290,45 +353,48 @@ func (l *Log) recover(th *pmem.Thread) error {
 		if end <= ext+extHdrBytes || end > limit {
 			return fmt.Errorf("%w: extent %d has end %d", ErrCorrupt, ext, end)
 		}
+		e := &extent{off: ext, end: end}
 		if l.tail >= ext+extHdrBytes && l.tail <= end {
-			tailExt, tailEnd = ext, end
+			tailExt = e
 		}
 		capSum += end - ext - extHdrBytes
-		last, lastEnd = ext, end
+		chain = append(chain, e)
 		ext = int64(th.Load(ext))
 	}
-	if tailExt == 0 {
+	if tailExt == nil {
 		return fmt.Errorf("%w: tail %d is outside every extent", ErrCorrupt, l.tail)
 	}
 	l.capBytes.Store(capSum)
+	l.exts.Store(newExtentSet(chain))
 	// A crash between linking a fresh extent and moving the tail leaves
 	// the tail in an earlier extent. Everything at or beyond it is
 	// unpublished; resume in the last extent so the chain order stays the
 	// append order. (The abandoned space was already terminated with a
 	// zero header word by growth, or is truncated just below.)
+	last := chain[len(chain)-1]
 	if tailExt != last {
-		l.truncate(th, l.tail, tailEnd)
-		l.tail = last + extHdrBytes
+		l.truncate(th, l.tail, tailExt.end)
+		l.tail = last.off + extHdrBytes
 		l.persistTail(th)
 	}
-	l.curExt, l.curEnd = last, lastEnd
+	l.cur = last
 	// Truncate the record straddling the tail: a torn append, or a
 	// complete one whose publication never landed. Either way nothing
 	// references it.
-	l.truncate(th, l.tail, l.curEnd)
+	l.truncate(th, l.tail, l.cur.end)
 
 	// Defensive full-log validation: the publish protocol guarantees every
 	// record below the tail is intact, so any failure here means the image
 	// itself is damaged; truncating at the first bad record keeps the
-	// intact prefix serviceable. The walk also sums payload bytes, which
-	// seed the liveness accounting (everything live until the caller says
-	// otherwise).
+	// intact prefix serviceable. The walk also sums payload bytes, per
+	// extent and in total, which seed the liveness accounting (everything
+	// live until the caller recounts).
 	var payload int64
-	for ext := l.first; ext != 0; {
-		end := int64(th.Load(ext + pmem.WordSize))
-		pos := ext + extHdrBytes
-		for pos+pmem.WordSize <= end {
-			if ext == l.curExt && pos >= l.tail {
+	defer func() { l.live.Store(payload) }()
+	for _, e := range chain {
+		pos := e.off + extHdrBytes
+		for pos+pmem.WordSize <= e.end {
+			if e == l.cur && pos >= l.tail {
 				break
 			}
 			hdr := th.Load(pos)
@@ -337,25 +403,23 @@ func (l *Log) recover(th *pmem.Thread) error {
 			}
 			n := int64(hdr&0xffffffff) - 1
 			rend := pos + recHdrBytes + roundUp(n, pmem.WordSize)
-			if n < 0 || n > MaxValue || rend > end ||
-				(ext == l.curExt && rend > l.tail) ||
+			if n < 0 || n > MaxValue || rend > e.end ||
+				(e == l.cur && rend > l.tail) ||
 				l.checksumAt(th, pos, int(n)) != uint32(hdr>>32) {
 				l.tail = pos
-				l.curExt, l.curEnd = ext, end
-				l.truncate(th, pos, end)
+				l.cur = e
+				l.truncate(th, pos, e.end)
 				l.persistTail(th)
-				l.live.Store(payload)
 				return nil
 			}
+			e.live.Add(n)
 			payload += n
 			pos = rend
 		}
-		if ext == l.curExt {
+		if e == l.cur {
 			break
 		}
-		ext = int64(th.Load(ext))
 	}
-	l.live.Store(payload)
 	return nil
 }
 
@@ -407,7 +471,7 @@ func (l *Log) Append(th *pmem.Thread, key uint64, val []byte) (Ref, error) {
 	need := recHdrBytes + roundUp(int64(len(val)), pmem.WordSize)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.tail+need > l.curEnd {
+	for l.tail+need > l.cur.end {
 		if err := l.grow(th, need); err != nil {
 			return 0, err
 		}
@@ -429,6 +493,7 @@ func (l *Log) Append(th *pmem.Thread, key uint64, val []byte) (Ref, error) {
 	l.tail = off + need
 	l.persistTail(th)
 	l.live.Add(int64(len(val)))
+	l.cur.live.Add(int64(len(val)))
 	return MakeRef(off, len(val)), nil
 }
 
@@ -452,7 +517,7 @@ func (l *Log) Admit(valLen int) error {
 	}
 	need := recHdrBytes + roundUp(int64(valLen), pmem.WordSize)
 	l.mu.Lock()
-	room := l.curEnd - l.tail
+	room := l.cur.end - l.tail
 	l.mu.Unlock()
 	if room >= need {
 		return nil
@@ -473,9 +538,11 @@ func (l *Log) Admit(valLen int) error {
 // and links a fresh one. The abandoned space in the old extent is
 // terminated with a zero header word so scans stop there.
 func (l *Log) grow(th *pmem.Thread, need int64) error {
-	l.truncate(th, l.tail, l.curEnd)
-	next := int64(th.Load(l.curExt))
-	if next == 0 {
+	l.truncate(th, l.tail, l.cur.end)
+	set := l.exts.Load()
+	if i := slices.Index(set.chain, l.cur); i+1 < len(set.chain) {
+		l.cur = set.chain[i+1]
+	} else {
 		size := l.extSize
 		if min := need + extHdrBytes; size < min {
 			size = roundUp(min, pmem.LineSize)
@@ -487,13 +554,12 @@ func (l *Log) grow(th *pmem.Thread, need int64) error {
 		// Link after the extent header is durable, so recovery never
 		// follows a pointer to uninitialised space.
 		th.StoreFence()
-		th.Store(l.curExt, uint64(ext))
-		th.Flush(l.curExt, pmem.WordSize)
-		next = ext
+		th.Store(l.cur.off, uint64(ext))
+		th.Flush(l.cur.off, pmem.WordSize)
+		l.cur = &extent{off: ext, end: ext + size}
+		l.exts.Store(set.with(l.cur))
 	}
-	l.curExt = next
-	l.curEnd = int64(th.Load(next + pmem.WordSize))
-	l.tail = next + extHdrBytes
+	l.tail = l.cur.off + extHdrBytes
 	// Publishing the moved tail commits the growth; the record that
 	// triggered it commits separately with its own tail advance.
 	l.persistTail(th)
@@ -575,26 +641,56 @@ func (l *Log) IsRecord(th *pmem.Thread, key uint64, ref Ref) bool {
 
 // MarkStale records that the caller overwrote or deleted the tree entry
 // that pointed at ref: the record's payload bytes move from the live to the
-// garbage side of the accounting. Words that do not name a record owned by
-// key (a fixed-width value, or a ref already reclaimed) are ignored, so the
-// caller may feed it every replaced tree word without classifying them
-// first. It reports whether the bytes were counted.
+// garbage side of the accounting, and leave its extent's live figure.
+// Words that do not name a record owned by key (a fixed-width value, or a
+// ref already reclaimed) are ignored, so the caller may feed it every
+// replaced tree word without classifying them first. It reports whether
+// the bytes were counted.
 func (l *Log) MarkStale(th *pmem.Thread, key uint64, ref Ref) bool {
 	if !l.IsRecord(th, key, ref) {
 		return false
 	}
-	n := int64(ref.Len())
-	l.live.Add(-n)
-	l.garbage.Add(n)
+	l.retire(ref)
 	return true
 }
 
-// ResetAccounting overwrites the live/garbage byte counters, for a caller
-// that recomputed real liveness after recovery (Open alone must assume
-// every surviving record is live).
-func (l *Log) ResetAccounting(live, garbage int64) {
+// retire moves a record's payload bytes from live to garbage, in the
+// totals and in the figure of the extent holding it.
+func (l *Log) retire(ref Ref) {
+	n := int64(ref.Len())
+	l.live.Add(-n)
+	l.garbage.Add(n)
+	if e := l.exts.Load().find(ref.Off()); e != nil {
+		e.live.Add(-n)
+	}
+}
+
+// Recount replaces the liveness figures Open seeded (every surviving record
+// live) with the caller's census: refs yields every index entry that may
+// name a record, and a word that does not name a record owned by its key
+// is skipped, so the caller may pass every tree word unclassified. Each
+// extent's live figure becomes the payload of the records the census
+// names in it; every other accounted byte becomes garbage. Call it before
+// the log is shared.
+func (l *Log) Recount(th *pmem.Thread, refs iter.Seq2[uint64, Ref]) {
+	set := l.exts.Load()
+	for _, e := range set.chain {
+		e.live.Store(0)
+	}
+	total := l.live.Load() + l.garbage.Load()
+	var live int64
+	for key, ref := range refs {
+		if !l.IsRecord(th, key, ref) {
+			continue
+		}
+		if e := set.find(ref.Off()); e != nil {
+			n := int64(ref.Len())
+			e.live.Add(n)
+			live += n
+		}
+	}
 	l.live.Store(live)
-	l.garbage.Store(garbage)
+	l.garbage.Store(max(total-live, 0))
 }
 
 // --- garbage collection ----------------------------------------------------
@@ -611,16 +707,16 @@ type GCFuncs struct {
 	// entry no longer holds old (the application overwrote or deleted the
 	// key mid-GC — the fresh copy is then abandoned as garbage). Required.
 	Swap func(key uint64, old, new Ref) bool
-	// Fence is a quiescence barrier, called twice per reclaimed extent:
-	// after the initial relocation sweep and again after the post-fence
-	// catch-up sweep, always before the extent is freed. It must not
-	// return while any reader can still hold a reference snapshot taken
-	// before the sweep's swaps, nor while any writer is mid-flight
-	// between appending a record and installing its ref in the tree (the
-	// store implements it as a write-acquire of the shard's resolve lock,
-	// which lookups hold shared for the resolve window and writers hold
-	// shared across append+install). Optional only when no concurrent
-	// readers or writers exist.
+	// Fence is a quiescence barrier. A pass calls it once before its first
+	// sweep, and once per victim between the sweep's last swap and the
+	// free. It must not return while any writer is mid-flight between
+	// appending a record and installing its ref in the tree — the leading
+	// call is what lets each victim be swept only once — nor while any
+	// reader can still hold a reference snapshot taken before the sweep's
+	// swaps (the store implements it as a write-acquire of the shard's
+	// resolve lock, which lookups hold shared for the resolve window and
+	// writers hold shared across append+install). Optional only when no
+	// concurrent readers or writers exist.
 	Fence func()
 }
 
@@ -634,31 +730,39 @@ type GCResult struct {
 	Skipped        int   // relocations abandoned: the key changed mid-GC
 }
 
-// GC reclaims up to maxExtents (0 = no bound) sealed extents from the head
-// of the chain — the oldest records first. For each extent it relocates the
-// records the index still references (copy to the tail with the ordinary
-// failure-atomic Append, then f.Swap the tree entry old→new), then runs a
-// fence → catch-up sweep → fence sequence before unlinking and freeing the
-// extent. The catch-up sweep exists because a liveness verdict can go
-// stale: a writer that appended a record into this extent long ago may
-// install its ref in the tree only after the first sweep judged the record
-// dead. The first fence waits such writers out (they hold the caller's
-// reader lock across append+install), the second sweep relocates whatever
-// they installed, and — since appends into a sealed extent are over and
-// each append's ref is installed at most once — nothing new can appear
-// after it; the final fence then drains readers still holding pre-sweep
-// snapshots before the memory is recycled. The extent holding the append
-// tail is never touched, so GC runs concurrently with appends and
-// lock-free reads; passes serialise with each other.
+// GC reclaims up to maxExtents (0 = no bound) sealed extents, emptiest
+// first. The candidates are the extents sealed when the pass starts —
+// every extent before the one appends land in — ordered by their live-byte
+// figures, lowest first (chain order among equals), so each byte freed
+// costs as little relocation as the figures allow.
+//
+// The pass calls f.Fence once up front. A record can turn live after the
+// pass judged it dead only if its writer appended it before the pass and
+// installs its ref afterwards; such writers hold the caller's reader lock
+// across append+install, so the fence waits them all out. After it, no ref
+// into a candidate can be installed except by the pass's own swaps (every
+// append lands beyond the sealed extents, and each append's ref is
+// installed at most once, by its own writer). Each victim then gets one
+// sweep — relocate the records the index still references: copy to the
+// tail with the ordinary failure-atomic Append, then f.Swap the tree entry
+// old→new — then a fence that drains readers still holding pre-sweep refs
+// before the memory is recycled, then the unlink and free. The extent
+// holding the append tail is never touched, so GC runs concurrently with
+// appends and lock-free reads; passes serialise with each other.
+//
+// The live figures only choose the order. The sweep's Live check and Swap
+// decide liveness, so drift in the figures costs efficiency, never
+// correctness.
 //
 // Crash-wise every step is covered by an existing argument: the copies are
 // ordinary appends (all-or-nothing via the tail publish), each swap is the
 // tree's single atomic 8-byte value store, and the unlink is one persisted
-// store of the chain-head pointer issued only after the swaps' flushes
-// completed. A crash anywhere leaves each live key naming exactly one
-// intact copy of its value; at worst the new copies (pre-swap) or the whole
-// victim extent (pre-unlink, post-swap) survive as garbage for the next
-// pass. Freed space is recycled by later extent allocations.
+// 8-byte store — of the header's first-extent word for the chain head, of
+// the predecessor's next word otherwise — issued only after the swaps'
+// flushes completed. A crash anywhere leaves each live key naming exactly
+// one intact copy of its value; at worst the new copies (pre-swap) or the
+// whole victim extent (pre-unlink, post-swap) survive as garbage for the
+// next pass. Freed space is recycled by later extent allocations.
 //
 // A corrupt live record aborts the pass with ErrCorrupt rather than
 // propagating bad bytes; pool exhaustion mid-copy aborts with ErrFull
@@ -672,39 +776,35 @@ func (l *Log) GC(th *pmem.Thread, maxExtents int, f GCFuncs) (GCResult, error) {
 	}
 	l.gcMu.Lock()
 	defer l.gcMu.Unlock()
-	// The pass is bounded by the chain as it stood on entry: relocation
-	// appends grow the tail, and without a stopping extent a full pass
-	// would chase it forever, re-copying its own copies. Stopping at the
-	// entry-time current extent visits every extent that could hold
-	// pre-pass garbage exactly once.
-	l.mu.Lock()
-	stop := l.curExt
-	l.mu.Unlock()
+	victims := l.victims(maxExtents)
+	if len(victims) == 0 {
+		return res, nil
+	}
 	var buf []byte
 
-	// sweep walks one sealed extent, relocating every record the index
-	// references. It reports the payload bytes it saw so the caller can
-	// settle the garbage accounting at free time (every byte left behind
-	// is dead by then). Safe without locks: appends only touch the
-	// current extent, records are immutable once published, and gcMu
-	// makes this the only GC pass.
-	sweep := func(victim, end int64) (payload, relocated int64, err error) {
-		pos := victim + extHdrBytes
-		for pos+pmem.WordSize <= end {
+	// sweep walks one victim, relocating every record the index
+	// references. It reports the payload bytes it saw and relocated, so
+	// the caller can settle the garbage accounting at free time (every
+	// byte left behind is dead by then). Safe without locks: appends only
+	// touch the current extent, records are immutable once published, and
+	// gcMu makes this the only GC pass.
+	sweep := func(v *extent) (payload, relocated int64, err error) {
+		pos := v.off + extHdrBytes
+		for pos+pmem.WordSize <= v.end {
 			hdr := th.Load(pos)
 			if hdr == 0 {
 				break
 			}
 			n := int64(hdr&0xffffffff) - 1
 			rend := pos + recHdrBytes + roundUp(n, pmem.WordSize)
-			if n < 0 || n > MaxValue || rend > end {
+			if n < 0 || n > MaxValue || rend > v.end {
 				return payload, relocated, fmt.Errorf("%w: bad record header at %d during GC", ErrCorrupt, pos)
 			}
 			payload += n
 			key := th.Load(pos + pmem.WordSize)
 			ref := MakeRef(pos, int(n))
+			pos = rend
 			if f.Live != nil && !f.Live(key, ref) {
-				pos = rend
 				continue
 			}
 			buf, err = l.ReadKeyed(th, key, ref, buf[:0])
@@ -724,69 +824,36 @@ func (l *Log) GC(th *pmem.Thread, maxExtents int, f GCFuncs) (GCResult, error) {
 				relocated += n
 				res.RelocatedBytes += n
 			} else {
-				// The application overwrote or deleted the key between
-				// our copy and our swap; its own MarkStale covered the
-				// old copy, and the fresh copy is garbage a future pass
-				// will drop.
-				l.live.Add(-n)
-				l.garbage.Add(n)
+				// The application overwrote or deleted the key between our
+				// copy and our swap; its own MarkStale covered the old copy,
+				// and the fresh copy is garbage a future pass will drop.
+				l.retire(newRef)
 				res.Skipped++
 			}
-			pos = rend
 		}
 		return payload, relocated, nil
 	}
 
-	for maxExtents <= 0 || res.Extents < maxExtents {
-		l.mu.Lock()
-		victim, cur := l.first, l.curExt
-		l.mu.Unlock()
-		if victim == 0 || victim == stop || victim == cur {
-			break // never reclaim the extent appends are landing in
-		}
-		end := int64(th.Load(victim + pmem.WordSize))
-		payload, relocated, err := sweep(victim, end)
+	// Leading fence: drain writers still between appending into a victim
+	// and installing the ref, so each victim's one sweep sees every ref.
+	if f.Fence != nil {
+		f.Fence()
+	}
+	for _, v := range victims {
+		payload, relocated, err := sweep(v)
 		if err != nil {
 			return res, err
 		}
-		// First fence: no writer is left mid-flight between appending a
-		// record into this (long-sealed) extent and installing its ref —
-		// such installs would invalidate the sweep's dead verdicts.
-		if f.Fence != nil {
-			f.Fence()
-		}
-		// Catch-up sweep: relocate records whose ref was installed after
-		// the first sweep judged them dead. After this, no record in the
-		// victim can become referenced again (its ref is installed at
-		// most once, by the writer that appended it, and those writers
-		// have drained).
-		_, relocated2, err := sweep(victim, end)
-		if err != nil {
-			return res, err
-		}
-		relocated += relocated2
-		// Final fence: readers may still hold pre-sweep refs into the
-		// victim; they must drain before its memory can be recycled (and
-		// rezeroed) by a later allocation. New resolutions re-read the
-		// tree, which no longer names the victim.
+		// Drain readers still holding pre-swap refs into v before its
+		// memory can be recycled; later resolutions re-read the tree.
 		if f.Fence != nil {
 			f.Fence()
 		}
 		dropped := payload - relocated
 		res.DroppedBytes += dropped
-		// Unlink: one persisted 8-byte store moves the chain head past
-		// the victim. The fence orders it after the relocations' flushes
-		// on NonTSO; a crash before the flush lands leaves the victim
-		// linked, full of dead records — the next pass redoes it.
-		l.mu.Lock()
-		next := int64(th.Load(victim))
-		th.StoreFence()
-		th.Store(l.hdrOff+hdrFirstWord*pmem.WordSize, uint64(next))
-		th.Flush(l.hdrOff+hdrFirstWord*pmem.WordSize, pmem.WordSize)
-		l.first = next
-		l.mu.Unlock()
-		size := end - victim
-		l.p.Free(victim, size)
+		l.unlink(th, v)
+		size := v.end - v.off
+		l.p.Free(v.off, size)
 		l.capBytes.Add(-(size - extHdrBytes))
 		l.reclaimed.Add(size)
 		l.garbage.Add(-dropped)
@@ -795,6 +862,54 @@ func (l *Log) GC(th *pmem.Thread, maxExtents int, f GCFuncs) (GCResult, error) {
 		res.ReclaimedBytes += size
 	}
 	return res, nil
+}
+
+// victims returns up to limit (0 = no bound) of the currently sealed
+// extents, lowest live figure first.
+func (l *Log) victims(limit int) []*extent {
+	l.mu.Lock()
+	chain, cur := l.exts.Load().chain, l.cur
+	l.mu.Unlock()
+	type cand struct {
+		e    *extent
+		live int64
+	}
+	var cands []cand
+	for _, e := range chain {
+		if e == cur {
+			break
+		}
+		cands = append(cands, cand{e, e.live.Load()})
+	}
+	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.live, b.live) })
+	if limit > 0 && len(cands) > limit {
+		cands = cands[:limit]
+	}
+	out := make([]*extent, len(cands))
+	for i, c := range cands {
+		out[i] = c.e
+	}
+	return out
+}
+
+// unlink removes a drained victim from the chain with one persisted 8-byte
+// store: the header's first-extent word when the victim is the head, the
+// predecessor's next word otherwise. The fence orders it after the
+// relocations' flushes on NonTSO; a crash before the flush lands leaves
+// the victim linked, full of dead records — the next pass redoes it.
+func (l *Log) unlink(th *pmem.Thread, v *extent) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	set := l.exts.Load()
+	word := l.hdrOff + hdrFirstWord*pmem.WordSize
+	if i := slices.Index(set.chain, v); i > 0 {
+		word = set.chain[i-1].off
+	}
+	next := th.Load(v.off)
+	th.StoreFence()
+	th.Store(word, next)
+	th.Flush(word, pmem.WordSize)
+	l.exts.Store(set.without(v))
 }
 
 // --- statistics ------------------------------------------------------------
@@ -850,24 +965,42 @@ func (l *Log) QuickStats() Stats {
 
 // Check walks the whole log, re-validating every published record, and
 // returns the space accounting. It is the testing/diagnostic counterpart
-// of Open's recovery scan. Check excludes concurrent GC passes (their
-// unlinks would pull the chain out from under the walk) but not concurrent
+// of Open's recovery scan. It also checks the volatile extent list against
+// the persisted chain (same extents, same order, same ends) and each
+// extent's live figure against the payload the walk found in it: 0 ≤ live
+// ≤ published payload. Check excludes concurrent GC passes (their unlinks
+// would pull the chain out from under the walk) but not concurrent
 // appends, whose records it simply does not visit.
 func (l *Log) Check(th *pmem.Thread) (Stats, error) {
 	l.gcMu.Lock()
 	defer l.gcMu.Unlock()
+	// Snapshot the live figures with the tail: the current extent's
+	// figure then covers exactly the records below the tail, and sealed
+	// extents' figures only fall afterwards.
 	l.mu.Lock()
-	tail, curExt, first := l.tail, l.curExt, l.first
+	tail, cur, chain := l.tail, l.cur, l.exts.Load().chain
+	lives := make([]int64, len(chain))
+	for i, e := range chain {
+		lives[i] = e.live.Load()
+	}
 	l.mu.Unlock()
 	st := l.QuickStats()
 	st.Cap = 0
-	for ext := first; ext != 0; {
-		end := int64(th.Load(ext + pmem.WordSize))
-		st.Cap += end - ext - extHdrBytes
+	link := l.hdrOff + hdrFirstWord*pmem.WordSize
+	walk := true // false past the current extent: nothing is published there
+	for i, e := range chain {
+		if got := int64(th.Load(link)); got != e.off {
+			return st, fmt.Errorf("%w: chain links %d where the extent list has %d", ErrCorrupt, got, e.off)
+		}
+		if got := int64(th.Load(e.off + pmem.WordSize)); got != e.end {
+			return st, fmt.Errorf("%w: extent %d ends at %d, the extent list says %d", ErrCorrupt, e.off, got, e.end)
+		}
+		link = e.off
+		st.Cap += e.end - e.off - extHdrBytes
 		st.Extents++
-		pos := ext + extHdrBytes
-		for pos+pmem.WordSize <= end {
-			if ext == curExt && pos >= tail {
+		var payload int64
+		for pos := e.off + extHdrBytes; walk && pos+pmem.WordSize <= e.end; {
+			if e == cur && pos >= tail {
 				break
 			}
 			hdr := th.Load(pos)
@@ -876,23 +1009,43 @@ func (l *Log) Check(th *pmem.Thread) (Stats, error) {
 			}
 			n := int64(hdr&0xffffffff) - 1
 			rend := pos + recHdrBytes + roundUp(n, pmem.WordSize)
-			if n < 0 || n > MaxValue || rend > end || (ext == curExt && rend > tail) {
+			if n < 0 || n > MaxValue || rend > e.end || (e == cur && rend > tail) {
 				return st, fmt.Errorf("%w: bad record header at %d", ErrCorrupt, pos)
 			}
 			if l.checksumAt(th, pos, int(n)) != uint32(hdr>>32) {
 				return st, fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, pos)
 			}
 			st.Records++
-			st.Bytes += n
+			payload += n
 			st.Used += rend - pos
 			pos = rend
 		}
-		if ext == curExt {
-			break
+		st.Bytes += payload
+		if lives[i] < 0 || lives[i] > payload {
+			return st, fmt.Errorf("vlog: extent %d counts %d live payload bytes of %d published", e.off, lives[i], payload)
 		}
-		ext = int64(th.Load(ext))
+		if e == cur {
+			walk = false
+		}
 	}
 	return st, nil
+}
+
+// ExtentStats is one extent's entry in the volatile extent list.
+type ExtentStats struct {
+	Off, End int64 // arena offset and exclusive end
+	Live     int64 // payload bytes of its records the index still references
+}
+
+// Extents returns the volatile extent list in chain order (a testing and
+// diagnostic aid).
+func (l *Log) Extents() []ExtentStats {
+	chain := l.exts.Load().chain
+	out := make([]ExtentStats, len(chain))
+	for i, e := range chain {
+		out[i] = ExtentStats{Off: e.off, End: e.end, Live: e.live.Load()}
+	}
+	return out
 }
 
 // checksumAt computes the CRC-32C of the record at off: its key word

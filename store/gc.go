@@ -11,12 +11,13 @@ import (
 // Value-log garbage collection, threaded through the store's shard
 // discipline.
 //
-// Each shard compacts independently: a pass walks the shard's value log
-// oldest-extent-first, copies the records its tree still references to the
-// log tail (an ordinary failure-atomic append), commits each copy with a
-// latched conditional replace of the tree word (old ref → new ref, refusing
-// if a concurrent writer got there first), then drains readers and frees
-// the extent. Liveness is the tree's word: a record is live iff
+// Each shard compacts independently: a pass takes the shard's sealed
+// value-log extents emptiest-first (by the log's per-extent live bytes),
+// copies the records its tree still references to the log tail (an
+// ordinary failure-atomic append), commits each copy with a latched
+// conditional replace of the tree word (old ref → new ref, refusing if a
+// concurrent writer got there first), then drains readers and frees the
+// extent. Liveness is the tree's word: a record is live iff
 // Get(record.key) returns its ref — the one fact the log cannot know by
 // itself and the reason records carry their key.
 //
@@ -26,24 +27,27 @@ import (
 // in a window where a log record matters without the tree fully saying so:
 // readers for their tree-word→log-bytes resolve, and byte-key writers from
 // the bucket append to the tree install (the appended record is invisible
-// to GC's liveness until the install lands). The GC pass runs, per extent,
-// relocation sweep → fence → catch-up sweep → fence → free, where each
-// fence is an exclusive acquire-and-release of varMu. Consider extent E:
+// to GC's liveness until the install lands). A fence is an exclusive
+// acquire-and-release of varMu. The GC pass fixes its victims — extents
+// sealed when it starts — then runs a leading fence, and per victim sweep →
+// fence → free. Consider a victim E:
 //
-//   - A reader whose RLock precedes a fence's Lock: the fence waits, so E
+//   - A writer that appended into E (necessarily before E was sealed, so
+//     before the pass started) and has not yet installed the ref: it
+//     holds the RLock, so the leading fence waits out its install, and
+//     E's one sweep, which starts after that fence, sees the ref and
+//     relocates the record. No ref into E can be installed after the
+//     leading fence except by GC's own swaps: every later append lands
+//     beyond the sealed extents, and each append's ref is installed
+//     exactly once, by its own writer.
+//   - A reader whose RLock precedes E's fence Lock: the fence waits, so E
 //     outlives the access. It may read a pre-swap (old) copy — intact
 //     (records are immutable and E unfreed) and byte-identical to the
 //     relocated one unless it raced an application overwrite, which is
 //     the store's documented read-uncommitted window, not a GC artifact.
-//   - A reader whose RLock follows the final fence: it loads the ref from
-//     the tree after every swap committed, so the ref does not point
+//   - A reader whose RLock follows E's fence: it loads the ref from the
+//     tree after every swap out of E committed, so the ref does not point
 //     into E.
-//   - A writer that appended into E (necessarily before E was sealed) but
-//     had not yet installed the ref when the sweep judged the record
-//     dead: it holds the RLock, so the first fence waits out its install,
-//     and the catch-up sweep relocates the record. No ref into E can be
-//     installed after that — each append's ref is installed exactly once,
-//     by its own writer, and those writers have drained.
 //
 // ScanKV resolves refs collected before its per-bucket RLock, so it
 // additionally retries through the tree when a snapshot ref no longer
@@ -82,9 +86,11 @@ func (c *CompactStats) add(r vlog.GCResult) {
 
 // CompactValues runs a full value-log GC pass on every shard, reclaiming
 // the space of overwritten and deleted byte-key buckets, and reports the work
-// done. It is safe to call concurrently with any other operation — readers
-// and writers on the same shards proceed during the pass (writers may
-// briefly serialise with a relocation's tree swap on a shared leaf) — and
+// done. Each pass frees every extent that was sealed when it started,
+// emptiest first (see vlog.Log.GC). It is safe to call concurrently with
+// any other operation — readers and writers on the same shards proceed
+// during the pass (writers may briefly serialise with a relocation's tree
+// swap on a shared leaf, or with one of the pass's fences) — and
 // concurrently with itself, passes on one shard simply queueing. On a
 // closed store it returns ErrClosed.
 //
@@ -109,7 +115,7 @@ func (ss *Session) CompactValues() (CompactStats, error) {
 }
 
 // autoGCExtents bounds one automatic trigger's pass: the triggering writer
-// pays for a few extents, not the shard's whole backlog — steady-state
+// pays for the few emptiest extents, not the shard's whole backlog — steady-state
 // reclamation is the same (triggers keep firing while the ratio holds),
 // but no single Put/Delete absorbs a full-log compaction latency cliff.
 const autoGCExtents = 4
@@ -138,9 +144,10 @@ func (ss *Session) compactShard(i, maxExtents int, wait bool) (vlog.GCResult, er
 		},
 		Fence: func() {
 			// A deliberately empty exclusive section: acquiring varMu
-			// waits out every reader that could hold a pre-swap ref
-			// snapshot and every writer mid-install of an appended
-			// record's ref (see the package comment above). Nothing is
+			// waits out every writer mid-install of an appended record's
+			// ref (what the pass's leading fence is for) and every reader
+			// that could hold a pre-swap ref snapshot (what each victim's
+			// fence is for; see the package comment above). Nothing is
 			// protected inside — the lock IS the barrier.
 			sh.gc.varMu.Lock()
 			//lint:ignore SA2001 quiescence barrier, not a critical section

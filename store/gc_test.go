@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/pmem"
+	"repro/internal/vlog"
 )
 
 // --- crash matrix ----------------------------------------------------------
@@ -116,6 +117,114 @@ func gcCrashMatrix(t *testing.T, model pmem.MemModel) {
 
 func TestGCCrashEveryPointTSO(t *testing.T)    { gcCrashMatrix(t, pmem.TSO) }
 func TestGCCrashEveryPointNonTSO(t *testing.T) { gcCrashMatrix(t, pmem.NonTSO) }
+
+// gcMidChainCrashMatrix injects a power failure at every point of a GC
+// pass whose one victim is not the chain head: the second extent is made
+// the emptiest, so the unlink is the persisted store of the head extent's
+// next word rather than of the log header. At every cut the reopened store
+// must pass its invariants (the extent list matching the persisted chain
+// included), resolve every key to its value, and compact again.
+func gcMidChainCrashMatrix(t *testing.T, model pmem.MemModel) {
+	rng := rand.New(rand.NewSource(37))
+	st, err := Open(Options{
+		Shards:         1,
+		ShardSize:      32 << 20,
+		ValueLogExtent: 512,
+		GCGarbageRatio: -1,
+		Mem:            pmem.Config{TrackCrashes: true, Model: model},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := st.NewSession()
+	want := map[uint64][]byte{}
+	for k := uint64(1); k <= 24; k++ {
+		v := bval(k, 40+int(k)%5*8)
+		if err := ss.PutKV(k8(k), v); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	sh := &st.shards[0]
+	before := sh.vl.Extents()
+	if len(before) < 3 {
+		t.Fatalf("setup spans %d extents, need a sealed second one", len(before))
+	}
+	// Empty the second extent but for one record, so the pass both
+	// relocates and unlinks.
+	th := sh.pool.NewThread()
+	var inSecond []uint64
+	for k := uint64(1); k <= 24; k++ {
+		if v, ok := sh.ix.Get(th, k); ok && vlog.Ref(v).Off() >= before[1].Off && vlog.Ref(v).Off() < before[1].End {
+			inSecond = append(inSecond, k)
+		}
+	}
+	th.Release()
+	if len(inSecond) < 2 {
+		t.Fatalf("second extent holds %d records, need 2 or more", len(inSecond))
+	}
+	deleted := inSecond[1:]
+	for _, k := range deleted {
+		if _, err := ss.DeleteKV(k8(k)); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, k)
+	}
+
+	pool := st.Pool(0)
+	pool.StartCrashLog()
+	res, err := ss.compactShard(0, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := sh.vl.Extents(); res.Extents != 1 || res.Relocated != 1 ||
+		after[0].Off != before[0].Off || after[1].Off == before[1].Off {
+		t.Fatalf("pass did not reclaim exactly the second extent: %+v, chain %+v -> %+v", res, before, after)
+	}
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	tape := pool.LogLen()
+	t.Logf("%v: mid-chain pass tape %d points, %+v", model, tape, res)
+
+	for point := 0; point <= tape; point++ {
+		for _, mode := range []pmem.CrashMode{pmem.CrashNone, pmem.CrashAll, pmem.CrashRandom} {
+			img := pool.CrashImage(point, mode, rng)
+			re, err := Reopen([]*pmem.Pool{img}, Options{GCGarbageRatio: -1})
+			if err != nil {
+				t.Fatalf("point %d/%d mode %d: reopen: %v", point, tape, mode, err)
+			}
+			if err := re.CheckInvariants(); err != nil {
+				t.Fatalf("point %d mode %d: invariants: %v", point, mode, err)
+			}
+			if head := re.shards[0].vl.Extents()[0].Off; head != before[0].Off {
+				t.Fatalf("point %d mode %d: chain head moved from %d to %d", point, mode, before[0].Off, head)
+			}
+			rs := re.NewSession()
+			for k, v := range want {
+				got, ok, err := rs.GetKV(k8(k), nil)
+				if err != nil || !ok || !bytes.Equal(got, v) {
+					t.Fatalf("point %d mode %d: key %d = (%d bytes, %v, %v), want its value", point, mode, k, len(got), ok, err)
+				}
+			}
+			for _, k := range deleted {
+				if _, ok, err := rs.GetKV(k8(k), nil); ok || err != nil {
+					t.Fatalf("point %d mode %d: deleted key %d resurrected: (%v, %v)", point, mode, k, ok, err)
+				}
+			}
+			if _, err := rs.CompactValues(); err != nil {
+				t.Fatalf("point %d mode %d: post-recovery compaction: %v", point, mode, err)
+			}
+			rs.Close()
+			re.Close()
+		}
+	}
+	ss.Close()
+	st.Close()
+}
+
+func TestGCCrashMidChainUnlinkTSO(t *testing.T)    { gcMidChainCrashMatrix(t, pmem.TSO) }
+func TestGCCrashMidChainUnlinkNonTSO(t *testing.T) { gcMidChainCrashMatrix(t, pmem.NonTSO) }
 
 // TestGCCrashCampaignRandomPoints is the breadth pass over a larger
 // compaction: random crash points across a tape covering many extents,
@@ -278,7 +387,7 @@ func TestConcurrentGCAndKVOps(t *testing.T) {
 	st, err := Open(Options{
 		Shards:         2,
 		ShardSize:      64 << 20,
-		ValueLogExtent: 4 << 10,
+		ValueLogExtent: 1 << 10,
 		GCGarbageRatio: -1, // GC runs on its own goroutine below, constantly
 	})
 	if err != nil {
@@ -390,7 +499,7 @@ func TestScanKVDuringGC(t *testing.T) {
 	st, err := Open(Options{
 		Shards:         2,
 		ShardSize:      64 << 20,
-		ValueLogExtent: 2 << 10,
+		ValueLogExtent: 1 << 10,
 		GCGarbageRatio: -1,
 	})
 	if err != nil {
@@ -611,6 +720,93 @@ func TestReopenRecomputesAccounting(t *testing.T) {
 	}
 	if g := re.ValueStats().Garbage; g >= before.Garbage {
 		t.Fatalf("garbage did not shrink: %d -> %d", before.Garbage, g)
+	}
+}
+
+// checkExtentLive recounts every shard's per-extent live bytes from a tree
+// walk and compares them with the value log's figures, which must also
+// sum to its live total.
+func checkExtentLive(t *testing.T, s *Store, when string) {
+	t.Helper()
+	for i, sh := range s.shards {
+		exts := sh.vl.Extents()
+		want := make([]int64, len(exts))
+		th := sh.pool.NewThread()
+		sh.ix.Scan(th, 0, ^uint64(0), func(k, v uint64) bool {
+			r := vlog.Ref(v)
+			if !sh.vl.IsRecord(th, k, r) {
+				return true
+			}
+			for j, e := range exts {
+				if r.Off() >= e.Off && r.Off() < e.End {
+					want[j] += int64(r.Len())
+				}
+			}
+			return true
+		})
+		th.Release()
+		var sum int64
+		for j, e := range exts {
+			if e.Live != want[j] {
+				t.Fatalf("%s: shard %d extent %d counts %d live bytes, the tree names %d", when, i, e.Off, e.Live, want[j])
+			}
+			sum += e.Live
+		}
+		if live := sh.vl.QuickStats().Live; sum != live {
+			t.Fatalf("%s: shard %d extents sum to %d live bytes, the log counts %d", when, i, sum, live)
+		}
+	}
+}
+
+// TestExtentLiveMatchesTreeRecount: the per-extent live figures GC orders
+// its victims by stay exact through byte-key churn (with automatic GC
+// firing inline), a full compaction, and a reopen.
+func TestExtentLiveMatchesTreeRecount(t *testing.T) {
+	st, err := Open(Options{Shards: 2, ShardSize: 16 << 20, ValueLogExtent: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := st.NewSession()
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 3000; i++ {
+		// Longer keys share 8-byte prefixes, so buckets hold several
+		// entries and deletes can shrink a bucket rather than drop it.
+		key := k8(uint64(rng.Intn(60)))
+		if rng.Intn(2) == 0 {
+			key = append(key, byte(rng.Intn(3)))
+		}
+		if rng.Intn(5) == 0 {
+			if _, err := ss.DeleteKV(key); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := ss.PutKV(key, bval(uint64(i), 20+rng.Intn(120))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.ValueStats().GCPasses == 0 {
+		t.Fatal("churn never triggered GC")
+	}
+	checkExtentLive(t, st, "after churn")
+	if _, err := ss.CompactValues(); err != nil {
+		t.Fatal(err)
+	}
+	checkExtentLive(t, st, "after compaction")
+	for k := uint64(0); k < 60; k += 3 {
+		if err := ss.PutKV(k8(k), bval(k, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss.Close()
+	pools := st.Pools()
+	st.Close()
+	re, err := Reopen(pools, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkExtentLive(t, re, "after reopen")
+	if err := re.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -247,13 +247,15 @@ type shardGC struct {
 	// varMu is the reclamation gate: every resolution of a tree word
 	// into value-log bytes holds it shared for the load-ref/read-record
 	// window, and a GC pass acquires it exclusively (and immediately
-	// releases it) between retargeting the tree refs and freeing the
-	// drained extent. The exclusive acquire cannot complete until every
-	// reader that might hold a pre-swap ref snapshot has drained, and
-	// any reader arriving later re-reads the tree, which no longer names
-	// the extent — so no reader can ever dereference freed log space.
+	// releases it) once before its first sweep and again between
+	// retargeting each victim's tree refs and freeing the drained
+	// extent. The exclusive acquire cannot complete until every reader
+	// that might hold a pre-swap ref snapshot has drained, and any
+	// reader arriving later re-reads the tree, which no longer names the
+	// extent — so no reader can ever dereference freed log space.
 	// Byte-key writers hold it shared from their bucket append to the
-	// tree install, so a pass cannot judge an uninstalled record dead.
+	// tree install, so after the leading acquire a pass cannot judge an
+	// uninstalled record dead.
 	varMu sync.RWMutex
 	// runMu serialises GC passes per shard; automatic triggers TryLock
 	// it so concurrent writers never queue behind one another's passes.
@@ -354,7 +356,8 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: shard %d recovery: %w", i, err)
 		}
 		// Value-log recovery: bounds-check the tail, truncate the torn or
-		// unpublished record at it, re-validate every published record.
+		// unpublished record at it, re-validate every published record
+		// (the one checksum pass over the log a reopen makes).
 		// Images from before the value log existed get a fresh one.
 		var vl *vlog.Log
 		if p.Root(th, vlogSlot) == 0 {
@@ -366,26 +369,14 @@ func Reopen(pools []*pmem.Pool, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: shard %d value log recovery: %w", i, err)
 		}
 		// Rebuild the live/garbage accounting the crash discarded (it is
-		// volatile): the log walk gives the total surviving payload, the
-		// tree walk the subset still referenced. The difference is
-		// garbage the next GC pass can reclaim — without this, a store
-		// reopened after heavy churn would never trigger automatic GC.
-		cs, err := vl.Check(th)
-		if err != nil {
-			return nil, fmt.Errorf("store: shard %d value log check: %w", i, err)
-		}
-		var live int64
-		ix.Scan(th, 0, ^uint64(0), func(k, v uint64) bool {
-			if r := vlog.Ref(v); vl.IsRecord(th, k, r) {
-				live += int64(r.Len())
-			}
-			return true
+		// volatile): recovery's log walk gave every extent's surviving
+		// payload, the tree walk names the subset still referenced. The
+		// difference is garbage the next GC pass can reclaim — without
+		// this, a store reopened after heavy churn would never trigger
+		// automatic GC, and GC could not tell its emptiest extents.
+		vl.Recount(th, func(yield func(uint64, vlog.Ref) bool) {
+			ix.Scan(th, 0, ^uint64(0), func(k, v uint64) bool { return yield(k, vlog.Ref(v)) })
 		})
-		garbage := cs.Bytes - live
-		if garbage < 0 {
-			garbage = 0
-		}
-		vl.ResetAccounting(live, garbage)
 		// Transaction redo-log recovery: bounds-check the tail, validate
 		// the published records (intents and commit marks survive here
 		// until recoverTxns below decides their fate). Images from before
@@ -472,7 +463,10 @@ func (s *Store) acquire() bool {
 func (s *Store) release() { s.inflight.Add(-1) }
 
 // CheckInvariants verifies structural invariants on every shard (testing
-// aid; full tree walks).
+// aid; full tree and value-log walks). The value-log walk re-validates
+// every record, checks the volatile extent list against the persisted
+// chain, and checks each extent's live figure against its published
+// payload (see vlog.Log.Check).
 func (s *Store) CheckInvariants() error {
 	if !s.acquire() {
 		return ErrClosed
